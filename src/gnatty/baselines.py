@@ -8,8 +8,8 @@ cluster, linear space, and prunes far less.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .datasets import Dataset
 from .errors import ConfigError
 from .metrics import DistanceCounter, MetricSpace
 from .search import QueryStats, RangeQuery
+from .tree import nearest_first
 
 
 class AesaMatrix:
@@ -55,16 +56,15 @@ class AesaMatrix:
 
 
 def aesa_build(dataset: Dataset, metric: MetricSpace) -> AesaMatrix:
-    """Precompute all n(n-1)/2 pairwise distances."""
+    """Precompute all n(n-1)/2 pairwise distances, one batched row at a time."""
     n = len(dataset)
+    objs = dataset.objects
     counter = DistanceCounter(metric)
     entries = np.empty(n * (n - 1) // 2, dtype=np.float64)
     pos = 0
-    for i in range(n):
-        a = dataset[i]
-        for j in range(i + 1, n):
-            entries[pos] = counter.distance(a, dataset[j])
-            pos += 1
+    for i in range(n - 1):
+        entries[pos:pos + n - i - 1] = counter.distances(objs[i], objs[i + 1:])
+        pos += n - i - 1
     return AesaMatrix(n, entries, counter.count)
 
 
@@ -124,20 +124,22 @@ def lc_build(dataset: Dataset, metric: MetricSpace, bucket_size: int) -> Cluster
         raise ConfigError(f"bucket_size must be >= 1, got {bucket_size}")
     counter = DistanceCounter(metric)
     remaining = list(range(len(dataset)))
+    points = list(dataset.objects)
     clusters: list[Cluster] = []
-    while remaining:
-        center = remaining[0]
-        rest = remaining[1:]
-        if not rest:
-            clusters.append(Cluster(center, 0.0, []))
-            break
-        center_obj = dataset[center]
-        take = min(bucket_size, len(rest))
-        nearest = heapq.nsmallest(
-            take, ((counter.distance(dataset[oid], center_obj), oid) for oid in rest))
-        taken = {oid for _, oid in nearest}
-        clusters.append(Cluster(center, nearest[-1][0], [oid for _, oid in nearest]))
-        remaining = [oid for oid in rest if oid not in taken]
+    while len(remaining) > 1:
+        center, remaining = remaining[0], remaining[1:]
+        center_obj, points = points[0], points[1:]
+        d = np.array(counter.distances(center_obj, points), dtype=np.float64)
+        nearest = nearest_first(d, remaining, bucket_size)
+        clusters.append(Cluster(center, float(d[nearest[-1]]),
+                                [remaining[p] for p in nearest.tolist()]))
+        kept = np.ones(len(remaining), dtype=bool)
+        kept[nearest] = False
+        kept = kept.tolist()
+        remaining = list(compress(remaining, kept))
+        points = list(compress(points, kept))
+    if remaining:
+        clusters.append(Cluster(remaining[0], 0.0, []))
     return ClusterList(clusters, dataset, counter.count)
 
 

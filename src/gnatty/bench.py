@@ -11,11 +11,12 @@ distances are counted separately from query distances.
 from __future__ import annotations
 
 import csv
-import heapq
 import logging
 import statistics
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baselines import aesa_build, aesa_range_search, lc_build, lc_range_search, lc_stored_reals
 from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
@@ -24,7 +25,7 @@ from .errors import ConfigError
 from .fixedpoint import FixedPointParams, params_for_integer_range
 from .metrics import MetricSpace, metric_by_name
 from .search import RangeQuery, egnat_range_search, gnat_range_search
-from .tree import (BuildConfig, ConstantArity, PowerArity, build,
+from .tree import (BuildConfig, ConstantArity, PowerArity, build, nearest_first,
                    table_bytes, table_entry_count)
 
 log = logging.getLogger("gnatty")
@@ -32,15 +33,15 @@ log = logging.getLogger("gnatty")
 
 def linear_scan_range(database: Dataset, obj, radius: float, metric: MetricSpace) -> set[int]:
     """Brute-force oracle for range queries."""
-    dist = metric.distance
-    return {i for i in range(len(database)) if dist(obj, database[i]) <= radius}
+    d = metric.distances(obj, database.objects)
+    return {i for i, di in enumerate(d) if di <= radius}
 
 
 def linear_scan_knn(database: Dataset, obj, k: int, metric: MetricSpace) -> list[tuple[int, float]]:
     """Brute-force oracle for k-NN: ascending (distance, id), lower id on ties."""
-    dist = metric.distance
-    scored = heapq.nsmallest(k, ((dist(obj, database[i]), i) for i in range(len(database))))
-    return [(i, d) for d, i in scored]
+    d = metric.distances(obj, database.objects)
+    ranked = nearest_first(np.array(d, dtype=np.float64), range(len(d)), k)
+    return [(i, d[i]) for i in ranked.tolist()]
 
 
 def calibrate_radius(database: Dataset, metric: MetricSpace, obj, target_k: int) -> float:
@@ -51,8 +52,8 @@ def calibrate_radius(database: Dataset, metric: MetricSpace, obj, target_k: int)
     """
     if not 1 <= target_k <= len(database):
         raise ConfigError(f"target_k must be in [1, {len(database)}], got {target_k}")
-    dist = metric.distance
-    return heapq.nsmallest(target_k, (dist(obj, database[i]) for i in range(len(database))))[-1]
+    d = np.array(metric.distances(obj, database.objects), dtype=np.float64)
+    return float(np.partition(d, target_k - 1)[target_k - 1])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,18 +97,21 @@ def load_vectors(path) -> Dataset:
         raise DatasetFormatError(path, 1, f"header must be two integers, got {lines[0]!r}") from None
     if dim < 1 or n < 0:
         raise DatasetFormatError(path, 1, f"need dim >= 1 and n >= 0, got dim={dim}, n={n}")
-    body = [line for line in lines[1:] if line.strip()]
+    body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != n:
         raise DatasetFormatError(path, len(lines), f"header promises {n} vectors, file has {len(body)}")
     objects = []
-    for line_no, line in enumerate(body, start=2):
+    for line_no, line in body:
         parts = line.split()
         if len(parts) != dim:
             raise DatasetFormatError(path, line_no, f"expected {dim} coordinates, got {len(parts)}")
         try:
-            objects.append(tuple(float(p) for p in parts))
+            vector = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise DatasetFormatError(path, line_no, f"bad coordinate: {exc}") from None
+        if not all(map(math.isfinite, vector)):
+            raise DatasetFormatError(path, line_no, f"non-finite coordinate in {line.strip()!r}")
+        objects.append(vector)
     return Dataset(objects)
 
 

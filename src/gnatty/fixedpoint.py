@@ -67,19 +67,30 @@ def params_for_integer_range(max_value: float, total_bits: int = 8) -> FixedPoin
 def encode_interval(lo: float, hi: float, params: FixedPointParams) -> tuple[int, int]:
     """Encode [lo, hi] as codes, rounding lo down and hi up.
 
-    Codes are clamped to [0, 2**total_bits - 1]; use hi_saturates() to
-    detect an upper bound that no longer dominates the true value.
+    The power transform and the scaling round in floating point, so a
+    truncated code can decode one ulp past the value it came from; each
+    code is then stepped until its decode_lut value lies on the safe side
+    (lo code decodes <= lo, hi code decodes >= hi).  Codes are clamped to
+    [0, 2**total_bits - 1]; use hi_saturates() to detect an upper bound
+    that no longer dominates the true value.
     """
     scale = params.scale
     max_code = params.max_code
-    lo_code = int(lo**params.beta * scale)  # truncation = round down
-    hi_code = int(hi**params.beta * scale) + 1
-    return min(max(lo_code, 0), max_code), min(max(hi_code, 0), max_code)
+    lut = decode_lut(params)
+    lo_code = min(max(int(lo**params.beta * scale), 0), max_code)  # truncation = round down
+    hi_code = min(max(int(hi**params.beta * scale) + 1, 0), max_code)
+    while lo_code > 0 and lut[lo_code] > lo:
+        lo_code -= 1
+    while hi_code < max_code and lut[hi_code] < hi:
+        hi_code += 1
+    return lo_code, hi_code
 
 
 def hi_saturates(hi: float, params: FixedPointParams) -> bool:
-    """True when the rounded-up code for hi exceeds the representable range."""
-    return int(hi**params.beta * params.scale) + 1 > params.max_code
+    """True when the rounded-up code for hi exceeds the representable range,
+    or when even the largest code decodes below hi."""
+    return (int(hi**params.beta * params.scale) + 1 > params.max_code
+            or decode_lut(params)[params.max_code] < hi)
 
 
 def decode_code(code: int, params: FixedPointParams) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import repeat
 
 from .errors import ConfigError
 
@@ -26,6 +27,18 @@ class MetricSpace(ABC):
     @abstractmethod
     def distance(self, a, b) -> float:
         """Return the distance between two objects (non-negative)."""
+
+    def distances(self, a, objs) -> list[float]:
+        """Distances from a to each object of the sequence objs, in order.
+
+        The bulk paths (partitions, range tables, calibration, oracles,
+        baseline builds) go through this one call.  The default makes one
+        distance() call per object, so a subclass that defines only
+        distance() keeps working and keeps seeing every evaluation;
+        overrides must return exactly what distance(a, b) returns.
+        """
+        dist = self.distance
+        return [dist(a, b) for b in objs]
 
 
 def euclidean_distance(u, v) -> float:
@@ -68,6 +81,14 @@ class EuclideanMetric(MetricSpace):
         except ValueError:
             raise ConfigError(f"dimension mismatch: {len(a)} vs {len(b)}") from None
 
+    def distances(self, a, objs) -> list[float]:
+        # the same math.dist as distance(), minus the per-pair Python frames
+        try:
+            return list(map(math.dist, repeat(a), objs))
+        except ValueError:
+            bad = next((len(b) for b in objs if len(b) != len(a)), None)
+            raise ConfigError(f"dimension mismatch: {len(a)} vs {bad}") from None
+
 
 class EditDistanceMetric(MetricSpace):
     """Levenshtein distance over strings, surfaced as a float."""
@@ -91,10 +112,15 @@ class DistanceCounter(MetricSpace):
         self.wrapped = wrapped
         self.count = 0
         self._fn = wrapped.distance
+        self._fns = wrapped.distances
 
     def distance(self, a, b) -> float:
         self.count += 1
         return self._fn(a, b)
+
+    def distances(self, a, objs) -> list[float]:
+        self.count += len(objs)
+        return self._fns(a, objs)
 
 
 _METRICS = {

@@ -14,9 +14,9 @@ tables that keep rows only for a random subset of the centers.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -211,23 +211,23 @@ def hyperplane_partition(object_ids, center_ids, dataset: Dataset,
     """Assign every object to its nearest center (nearest-center cells).
 
     Ties go to the lowest center position.  Costs exactly
-    len(object_ids) * len(center_ids) distance evaluations.
+    len(object_ids) * len(center_ids) distance evaluations, one batched
+    call per center.
     """
     if not center_ids:
         raise ConfigError("hyperplane partition needs at least one center")
-    dist = metric.distance
-    centers = [dataset[cid] for cid in center_ids]
+    objs = dataset.objects
+    points = list(map(objs.__getitem__, object_ids))
+    best = np.full(len(points), np.inf)
+    nearest = np.zeros(len(points), dtype=np.intp)
+    for pos, cid in enumerate(center_ids):
+        d = np.array(metric.distances(objs[cid], points), dtype=np.float64)
+        closer = d < best  # strict: an equal later center never takes over
+        best[closer] = d[closer]
+        nearest[closer] = pos
     assigned: list[list[int]] = [[] for _ in center_ids]
-    for oid in object_ids:
-        obj = dataset[oid]
-        best = math.inf
-        best_pos = 0
-        for pos, center in enumerate(centers):
-            d = dist(obj, center)
-            if d < best:
-                best = d
-                best_pos = pos
-        assigned[best_pos].append(oid)
+    for oid, pos in zip(object_ids, nearest.tolist()):
+        assigned[pos].append(oid)
     return assigned
 
 
@@ -236,6 +236,18 @@ def ball_capacity(object_count: int, m: int, gamma: float) -> int:
     if object_count == 0:
         return 1
     return max(1, math.ceil(object_count**gamma / m))
+
+
+def nearest_first(d: np.ndarray, ids, take: int) -> np.ndarray:
+    """Positions of the take smallest (d[i], ids[i]) pairs, ascending by
+    (distance, id): distance ties go to the lower id."""
+    if take < len(d):
+        kth = np.partition(d, take - 1)[take - 1]
+        candidates = np.flatnonzero(d <= kth)
+    else:
+        candidates = np.arange(len(d))
+    order = np.lexsort(([ids[c] for c in candidates.tolist()], d[candidates]))
+    return candidates[order[:take]]
 
 
 def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
@@ -251,19 +263,21 @@ def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
     if m == 0:
         raise ConfigError("ball partition needs at least one center")
     capacity = ball_capacity(len(object_ids), m, gamma)
-    dist = metric.distance
+    objs = dataset.objects
     remaining = list(object_ids)
+    points = list(map(objs.__getitem__, remaining))
     assigned: list[list[int]] = []
     for pos in range(m - 1):
         if not remaining:
             assigned.append([])
             continue
-        center = dataset[center_ids[pos]]
-        take = min(capacity, len(remaining))
-        nearest = heapq.nsmallest(take, ((dist(dataset[oid], center), oid) for oid in remaining))
-        taken = {oid for _, oid in nearest}
-        assigned.append([oid for oid in remaining if oid in taken])
-        remaining = [oid for oid in remaining if oid not in taken]
+        d = np.array(metric.distances(objs[center_ids[pos]], points), dtype=np.float64)
+        taken = np.zeros(len(remaining), dtype=bool)
+        taken[nearest_first(d, remaining, min(capacity, len(remaining)))] = True
+        assigned.append(list(compress(remaining, taken.tolist())))
+        kept = (~taken).tolist()
+        remaining = list(compress(remaining, kept))
+        points = list(compress(points, kept))
     assigned.append(remaining)
     return assigned
 
@@ -274,25 +288,34 @@ def compute_range_table(measuring_ids, center_ids, partitions, dataset: Dataset,
     child's objects, the child's center included.
 
     The only distance shortcut taken is d(x, x) = 0 when the measuring
-    pivot is the child center itself.
+    pivot is the child center itself.  Each pivot measures the whole node
+    in one batched call over the children laid out end to end, each
+    child's center first.
     """
     rows, cols = len(measuring_ids), len(center_ids)
     lo = np.zeros((rows, cols), dtype=np.float64)
     hi = np.zeros((rows, cols), dtype=np.float64)
-    dist = metric.distance
+    objs = dataset.objects
+    points = []
+    starts = []
+    for cid, part in zip(center_ids, partitions):
+        starts.append(len(points))
+        points.append(objs[cid])
+        points.extend(map(objs.__getitem__, part))
+    center_pos = {cid: j for j, cid in enumerate(center_ids)}
+    d = np.empty(len(points), dtype=np.float64)
     for i, pid in enumerate(measuring_ids):
-        pivot = dataset[pid]
-        for j, cid in enumerate(center_ids):
-            d = 0.0 if pid == cid else dist(pivot, dataset[cid])
-            d_min = d_max = d
-            for oid in partitions[j]:
-                d = dist(pivot, dataset[oid])
-                if d < d_min:
-                    d_min = d
-                elif d > d_max:
-                    d_max = d
-            lo[i, j] = d_min
-            hi[i, j] = d_max
+        pivot = objs[pid]
+        j = center_pos.get(pid)
+        if j is None:
+            d[:] = metric.distances(pivot, points)
+        else:
+            s = starts[j]
+            d[:s] = metric.distances(pivot, points[:s])
+            d[s] = 0.0
+            d[s + 1:] = metric.distances(pivot, points[s + 1:])
+        lo[i] = np.minimum.reduceat(d, starts)
+        hi[i] = np.maximum.reduceat(d, starts)
     return RangeTable(lo, hi)
 
 

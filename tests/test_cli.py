@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gnatty import cli, generate_uniform_vectors, load_tree
@@ -107,3 +109,19 @@ def test_oracle_check_mismatch_exit_code(monkeypatch, capsys):
     code = cli.main(["oracle-check", *SMALL, "--target-k", "5"])
     assert code == 3
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_sweep_golden_counters(tmp_path):
+    # The counters of a fixed sweep, pinned: criterion 10 only checks that
+    # two runs agree, which a counter change made on both runs still passes.
+    # The CSV has no wall-clock columns (no --times), so its bytes depend only
+    # on the algorithms.  Change the hash only with a change that says openly
+    # that it alters the algorithm.
+    out = tmp_path / "golden.csv"
+    args = ["sweep", "--n", "520", "--dim", "6", "--queries", "20", "--seed", "0",
+            "--index", "gnatty", "gnat", "aesa", "lc", "--codec", "exact", "fp",
+            "--reduce", "1", "2", "--search", "gnat", "egnat",
+            "--target-k", "10", "--radius", "0.3", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cb0568b1ae7569c5b9a6a99a440ca5cd7a79deaffe125ea605c86a95c3b42bcd")

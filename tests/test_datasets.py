@@ -57,6 +57,10 @@ def test_load_vectors_roundtrip(tmp_path):
     ("2 2\n0 0\n1\n", 3),         # wrong coordinate count
     ("2 2\n0 0\n1 x\n", 3),       # bad literal
     ("2 3\n0 0\n1 1\n", 3),       # fewer lines than promised
+    ("2 2\n0 0\n1 nan\n", 3),     # not a number
+    ("2 2\n0 inf\n1 1\n", 2),     # infinite
+    ("2 2\n0 0\n\n-Infinity 1\n", 4),  # blank lines still count
+    ("2 2\n1e999 0\n1 1\n", 2),   # overflows to inf
 ])
 def test_load_vectors_errors(tmp_path, content, line):
     path = tmp_path / "bad.txt"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,3 +74,29 @@ def test_params_for_integer_range():
     assert decode_code(lo, params) <= 12.0 <= decode_code(hi, params)
     # exact integers survive the round trip un-widened on the lower side
     assert decode_code(lo, params) == 12.0
+
+
+@pytest.mark.parametrize("params", [
+    Q28,
+    FixedPointParams(total_bits=8, magnitude_bits=2, beta=0.5),
+    FixedPointParams(total_bits=8, magnitude_bits=3, beta=1.0),
+    FixedPointParams(total_bits=8, magnitude_bits=8, beta=1 / 3),
+    FixedPointParams(total_bits=4, magnitude_bits=1, beta=0.7),
+    FixedPointParams(total_bits=12, magnitude_bits=4, beta=0.2),
+])
+def test_every_code_boundary_rounds_outward(params):
+    # each code's decoded value and the ulps on either side of it: the
+    # exact spots where float rounding in x**beta * scale can truncate to
+    # a code one step on the wrong side
+    lut = decode_lut(params)
+    for code in range(params.max_code + 1):
+        v = float(lut[code])
+        for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
+            if x < 0:
+                continue
+            lo_code, hi_code = encode_interval(x, x, params)
+            assert lut[lo_code] <= x, (code, x, lo_code)
+            if hi_saturates(x, params):
+                assert hi_code == params.max_code
+            else:
+                assert lut[hi_code] >= x, (code, x, hi_code)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gnatty import (ConfigError, DistanceCounter, EditDistanceMetric, EuclideanMetric,
+from gnatty import (BuildConfig, ConfigError, ConstantArity, DistanceCounter,
+                    EditDistanceMetric, EuclideanMetric, MetricSpace, RangeQuery, build,
                     edit_distance, euclidean_distance, generate_random_words,
-                    generate_uniform_vectors, metric_by_name)
+                    generate_uniform_vectors, gnat_range_search, linear_scan_range,
+                    metric_by_name)
 
 
 def edit_oracle(s: str, t: str) -> int:
@@ -102,3 +104,70 @@ def test_metric_by_name():
     assert isinstance(metric_by_name("edit"), EditDistanceMetric)
     with pytest.raises(ConfigError):
         metric_by_name("cosine")
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+@pytest.mark.parametrize("metric,objects", [
+    (EuclideanMetric(), generate_uniform_vectors(150, 7, seed=4).objects),
+    (EditDistanceMetric(), generate_random_words(80, seed=4).objects),
+])
+def test_distances_is_the_scalar_kernel(metric, objects):
+    # == on floats: the batch must reproduce distance() bit for bit, in
+    # both argument orders, or oracle, calibration and index disagree
+    for a in objects[:8]:
+        batch = metric.distances(a, objects)
+        assert batch == [metric.distance(a, b) for b in objects]
+        assert batch == [metric.distance(b, a) for b in objects]
+    assert metric.distances(objects[0], []) == []
+
+
+@given(st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150),
+                          st.floats(-1e150, 1e150)), min_size=1, max_size=20))
+def test_euclidean_distances_bitwise_symmetric(points):
+    euclid = EuclideanMetric()
+    for a in points[:3]:
+        batch = euclid.distances(a, points)
+        assert batch == [euclid.distance(b, a) for b in points]
+
+
+def test_distances_dimension_mismatch(euclid):
+    with pytest.raises(ConfigError):
+        euclid.distances((0.0, 0.0), [(1.0, 1.0), (1.0, 2.0, 3.0)])
+
+
+def test_distance_counter_charges_batch_length(euclid):
+    ds = generate_uniform_vectors(30, 3, seed=1)
+    counter = DistanceCounter(euclid)
+    assert counter.distances(ds[0], ds.objects) == euclid.distances(ds[0], ds.objects)
+    assert counter.distances(ds[1], []) == []
+    assert counter.count == 30
+
+
+class _Manhattan(MetricSpace):
+    """Defines only distance(); bulk paths must reach it through the default."""
+
+    name = "l1"
+
+    def __init__(self):
+        self.calls = 0
+
+    def distance(self, a, b) -> float:
+        self.calls += 1
+        return float(sum(abs(x - y) for x, y in zip(a, b)))
+
+
+def test_distance_only_subclass_uses_default_batch():
+    metric = _Manhattan()
+    assert metric.distances((0, 0), [(1, 2), (3, -1)]) == [3.0, 4.0]
+    assert metric.calls == 2
+    counter = DistanceCounter(metric)
+    counter.distances((0, 0), [(1, 1)] * 5)
+    assert counter.count == metric.calls - 2 == 5
+
+    ds = generate_uniform_vectors(120, 3, seed=6)
+    tree = build(ds, metric, BuildConfig(arity=ConstantArity(4), partition="ball", seed=6))
+    for q in ds.objects[:5]:
+        stats = gnat_range_search(tree, RangeQuery(q, 0.4), metric)
+        assert stats.results == linear_scan_range(ds, q, 0.4, metric)

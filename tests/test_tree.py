@@ -125,6 +125,72 @@ def test_ball_balance_property():
 # ---------------------------------------------------------------- range table
 
 
+# Scalar per-pair reference versions of the three batched build phases.
+# The batched code must match them exactly: same assignments, same table
+# floats, same evaluation counts.
+
+
+def _ref_hyperplane(object_ids, center_ids, dataset, metric):
+    assigned = [[] for _ in center_ids]
+    for oid in object_ids:
+        best, best_pos = math.inf, 0
+        for pos, cid in enumerate(center_ids):
+            d = metric.distance(dataset[oid], dataset[cid])
+            if d < best:
+                best, best_pos = d, pos
+        assigned[best_pos].append(oid)
+    return assigned
+
+
+def _ref_ball(object_ids, center_ids, gamma, dataset, metric):
+    capacity = ball_capacity(len(object_ids), len(center_ids), gamma)
+    remaining, assigned = list(object_ids), []
+    for cid in center_ids[:-1]:
+        ranked = sorted((metric.distance(dataset[oid], dataset[cid]), oid) for oid in remaining)
+        taken = {oid for _, oid in ranked[:capacity]}
+        assigned.append([oid for oid in remaining if oid in taken])
+        remaining = [oid for oid in remaining if oid not in taken]
+    return assigned + [remaining]
+
+
+def _ref_range_table(measuring_ids, center_ids, partitions, dataset, metric):
+    lo = np.zeros((len(measuring_ids), len(center_ids)))
+    hi = np.zeros_like(lo)
+    for i, pid in enumerate(measuring_ids):
+        for j, cid in enumerate(center_ids):
+            ds = [0.0 if pid == cid else metric.distance(dataset[pid], dataset[cid])]
+            ds += [metric.distance(dataset[pid], dataset[oid]) for oid in partitions[j]]
+            lo[i, j], hi[i, j] = min(ds), max(ds)
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 80), m=st.integers(1, 9),
+       gamma=st.sampled_from([0.3, 0.9, 1.0]), grid=st.booleans())
+def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
+    rng = np.random.default_rng(seed)
+    # a coarse integer grid makes distance ties common
+    coords = rng.integers(0, 3, size=(n, 2)) if grid else rng.random((n, 3))
+    dataset = Dataset([tuple(map(float, row)) for row in coords.tolist()])
+    m = min(m, n - 1)
+    ids = rng.permutation(n).tolist()
+    centers, objects = sorted(ids[:m]), ids[m:]  # objects in shuffled order
+    for partition, reference in ((lambda c: hyperplane_partition(objects, centers, dataset, c),
+                                  lambda c: _ref_hyperplane(objects, centers, dataset, c)),
+                                 (lambda c: ball_partition(objects, centers, gamma, dataset, c),
+                                  lambda c: _ref_ball(objects, centers, gamma, dataset, c))):
+        batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
+        parts = partition(batched)
+        assert parts == reference(scalar)
+        assert batched.count == scalar.count
+        measuring = centers[::2] + [objects[0]]  # a non-center pivot too
+        batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
+        table = compute_range_table(measuring, centers, parts, dataset, batched)
+        lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
+        assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
+        assert batched.count == scalar.count
+
+
 def test_range_table_examples():
     # centers at 0 and 4; objects 3 and 5 live under the center at 4
     ds = line_dataset(0.0, 4.0, 3.0, 5.0)
