@@ -14,14 +14,13 @@ from .errors import ConfigError, DatasetFormatError, GnattyError, OracleMismatch
 from .fixedpoint import (FixedPointParams, decode_code, encode_interval,
                          params_for_integer_range)
 from .metrics import (DistanceCounter, EditDistanceMetric, EuclideanMetric,
-                      MetricSpace, edit_distance, euclidean_distance, metric_by_name)
-from .search import (PivotState, QueryStats, RangeQuery, egnat_range_search,
-                     gnat_range_search, knn_search, prune_check)
-from .tree import (Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree,
-                   Interval, PowerArity, RangeTable, arity_for, ball_partition,
-                   build, compute_range_table, encode_table, hyperplane_partition,
-                   iter_nodes, select_pivots, subtree_object_ids, table_bytes,
-                   table_entry_count, with_fixed_point)
+                      MetricSpace, edit_distance, metric_by_name)
+from .search import (QueryStats, RangeQuery, egnat_range_search, gnat_range_search,
+                     knn_search, prune_check)
+from .tree import (Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree, PowerArity,
+                   RangeTable, arity_for, ball_partition, build, compute_range_table,
+                   encode_table, hyperplane_partition, iter_nodes, select_pivots,
+                   subtree_object_ids, table_bytes, table_entry_count, with_fixed_point)
 from .treefile import load_tree, save_tree
 
 __version__ = "0.1.0"

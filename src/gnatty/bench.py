@@ -11,10 +11,11 @@ distances are counted separately from query distances.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,16 +113,11 @@ class ResultRow:
     query_seconds: float
 
 
-# Column order for emitted CSVs; the two wall-clock columns are appended
-# only on request because they are not reproducible across runs.
-CSV_COLUMNS = [
-    "index", "metric", "source", "n", "dim", "queries", "seed", "partition",
-    "arity", "gamma", "bucket", "codec", "reduce", "search", "radius_mode",
-    "radius_param", "mean_radius", "build_distance_evals", "entries",
-    "table_bytes", "mean_distance_evals", "median_distance_evals",
-    "mean_result_size",
-]
+# Column order for emitted CSVs is ResultRow's field order; the two
+# wall-clock columns are appended only on request because they are not
+# reproducible across runs.
 TIME_COLUMNS = ["build_seconds", "query_seconds"]
+CSV_COLUMNS = [f.name for f in fields(ResultRow) if f.name not in TIME_COLUMNS]
 
 
 def emit_csv(rows, path, include_times: bool = False) -> None:
@@ -179,9 +175,10 @@ def resolve_fp_params(spec: ExperimentSpec, database: Dataset) -> FixedPointPara
 def validate_spec(spec: ExperimentSpec) -> None:
     """Reject grid values outside their declared domains.
 
-    Domain violations are configuration errors; only data-relative
-    infeasibility (a cell that cannot run on this dataset) is skipped
-    later with a warning.
+    Values with an owning class are checked by constructing it once; the
+    rest are checked here.  Domain violations are configuration errors;
+    only data-relative infeasibility (a cell that cannot run on this
+    dataset) is skipped later with a warning.
     """
     metric_by_name(spec.metric)
     if spec.dataset_path is None and spec.n < 0:
@@ -191,39 +188,29 @@ def validate_spec(spec: ExperimentSpec) -> None:
     for index in spec.indexes:
         if index not in ("gnatty", "gnat", "aesa", "lc"):
             raise ConfigError(f"unknown index {index!r}")
-    for partition in spec.partitions or ():
-        if partition not in ("hyperplane", "ball"):
-            raise ConfigError(f"unknown partition {partition!r}")
-    for alpha in spec.alphas:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    for m in spec.arity_consts:
-        if m < 2:
-            raise ConfigError(f"constant arity must be >= 2, got {m}")
-    for gamma in spec.gammas:
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-    for bucket in spec.buckets:
-        if bucket < 0:
-            raise ConfigError(f"bucket_size must be >= 0, got {bucket}")
     for codec in spec.codecs:
         if codec not in ("exact", "fp"):
             raise ConfigError(f"unknown codec {codec!r}")
-    for reduce_factor in spec.reduces:
-        if reduce_factor < 1.0:
-            raise ConfigError(f"reduce_factor must be >= 1, got {reduce_factor}")
     for search in spec.searches:
         if search not in ("gnat", "egnat"):
             raise ConfigError(f"unknown search mode {search!r}")
-    for radius in spec.radii:
-        if radius < 0:
-            raise ConfigError(f"radius must be >= 0, got {radius}")
     for k in spec.target_ks:
         if k < 1:
             raise ConfigError(f"target_k must be >= 1, got {k}")
     for bucket in spec.lc_buckets:
         if bucket < 1:
             raise ConfigError(f"lc bucket size must be >= 1, got {bucket}")
+    for alpha in spec.alphas:
+        PowerArity(alpha)
+    for m in spec.arity_consts:
+        ConstantArity(m)
+    for partition, gamma, bucket, reduce_factor in itertools.product(
+            spec.partitions or ("hyperplane",), spec.gammas, spec.buckets, spec.reduces):
+        # the arity does not matter here; the arity values were checked above
+        BuildConfig(arity=ConstantArity(2), partition=partition, gamma=gamma,
+                    bucket_size=bucket, reduce_factor=reduce_factor)
+    for radius in spec.radii:
+        RangeQuery(None, radius)
 
 
 @dataclass
@@ -252,40 +239,35 @@ def _tree_variants(index, spec, database, metric, seed):
     if partitions is None:
         partitions = ("ball",) if index == "gnatty" else ("hyperplane",)
     if index == "gnatty":
-        arities = [("alpha:%g" % a, PowerArity, a) for a in spec.alphas]
+        arities = [("alpha:%g" % a, PowerArity(a)) for a in spec.alphas]
     else:
-        arities = [("const:%d" % m, ConstantArity, m) for m in spec.arity_consts]
+        arities = [("const:%d" % m, ConstantArity(m)) for m in spec.arity_consts]
     fp = None
     if "fp" in spec.codecs:
         fp = resolve_fp_params(spec, database)
-    for partition in partitions:
-        for arity_label, arity_cls, arity_value in arities:
-            for gamma in spec.gammas:
-                for bucket in spec.buckets:
-                    for codec in spec.codecs:
-                        for reduce_factor in spec.reduces:
-                            try:
-                                config = BuildConfig(
-                                    arity=arity_cls(arity_value), partition=partition, gamma=gamma,
-                                    bucket_size=bucket, reduce_factor=reduce_factor,
-                                    fixed_point=fp if codec == "fp" else None, seed=seed)
-                                started = time.perf_counter()
-                                tree = build(database, metric, config)
-                                elapsed = time.perf_counter() - started
-                            except ConfigError as exc:
-                                log.warning("skipping infeasible %s cell: %s", index, exc)
-                                continue
-                            coords = {"partition": partition, "arity": arity_label,
-                                      "gamma": "%g" % gamma, "bucket": str(bucket),
-                                      "codec": codec, "reduce": "%g" % reduce_factor}
-                            for search in spec.searches:
-                                run = gnat_range_search if search == "gnat" else egnat_range_search
-                                yield Variant(
-                                    index, coords, search,
-                                    (lambda obj, radius, _tree=tree, _run=run:
-                                     _run(_tree, RangeQuery(obj, radius), metric)),
-                                    tree, tree.build_distance_evals, table_entry_count(tree),
-                                    table_bytes(tree), elapsed)
+    for partition, (arity_label, arity), gamma, bucket, codec, reduce_factor in itertools.product(
+            partitions, arities, spec.gammas, spec.buckets, spec.codecs, spec.reduces):
+        try:
+            config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
+                                 bucket_size=bucket, reduce_factor=reduce_factor,
+                                 fixed_point=fp if codec == "fp" else None, seed=seed)
+            started = time.perf_counter()
+            tree = build(database, metric, config)
+            elapsed = time.perf_counter() - started
+        except ConfigError as exc:
+            log.warning("skipping infeasible %s cell: %s", index, exc)
+            continue
+        coords = {"partition": partition, "arity": arity_label,
+                  "gamma": "%g" % gamma, "bucket": str(bucket),
+                  "codec": codec, "reduce": "%g" % reduce_factor}
+        for search in spec.searches:
+            run = gnat_range_search if search == "gnat" else egnat_range_search
+            yield Variant(
+                index, coords, search,
+                (lambda obj, radius, _tree=tree, _run=run:
+                 _run(_tree, RangeQuery(obj, radius), metric)),
+                tree, tree.build_distance_evals, table_entry_count(tree),
+                table_bytes(tree), elapsed)
 
 
 def build_variants(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int):

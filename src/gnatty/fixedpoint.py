@@ -1,12 +1,13 @@
 """Fixed-point codec for range-table entries.
 
-Distance bounds are stored as unsigned b-bit codes: the value is first put
-through a power transform x**beta (beta <= 1 pulls a wide dynamic range
-towards 1), then scaled by 2**(total_bits - magnitude_bits) and truncated.
-Lower bounds round down and upper bounds round up so the decoded interval
-always contains the true one; queries therefore stay exact, only pruning
-power is lost.  No arithmetic is ever done in the coded domain, codes are
-decoded back to floats when consulted.
+Distance bounds are stored as unsigned b-bit codes.  A code c decodes to
+(c / 2**(total_bits - magnitude_bits)) ** (1 / beta); beta <= 1 spreads
+the codes over a wide dynamic range.  The decode table of every code is
+the codec: a lower bound encodes to the largest code that decodes to at
+most the bound, an upper bound to the smallest code that decodes above
+it, so the decoded interval always contains the true one.  Queries
+therefore stay exact, only pruning power is lost.  No arithmetic is ever
+done in the coded domain, codes are decoded back to floats when consulted.
 """
 
 from __future__ import annotations
@@ -64,33 +65,21 @@ def params_for_integer_range(max_value: float, total_bits: int = 8) -> FixedPoin
     return FixedPointParams(total_bits=total_bits, magnitude_bits=mag, beta=1.0)
 
 
-def encode_interval(lo: float, hi: float, params: FixedPointParams) -> tuple[int, int]:
-    """Encode [lo, hi] as codes, rounding lo down and hi up.
+def encode_interval(lo, hi, params: FixedPointParams):
+    """Encode [lo, hi] as codes by lookup in decode_lut(params).
 
-    The power transform and the scaling round in floating point, so a
-    truncated code can decode one ulp past the value it came from; each
-    code is then stepped until its decode_lut value lies on the safe side
-    (lo code decodes <= lo, hi code decodes >= hi).  Codes are clamped to
-    [0, 2**total_bits - 1]; use hi_saturates() to detect an upper bound
-    that no longer dominates the true value.
+    The lo code is the largest code that decodes to <= lo; the hi code is
+    the smallest code that decodes to > hi, clamped to max_code.  A
+    clamped hi code is saturated: it decodes to <= hi, and encode_table
+    flags its table.  Scalars give a pair of ints, arrays a pair of
+    integer arrays of the same shape.
     """
-    scale = params.scale
-    max_code = params.max_code
     lut = decode_lut(params)
-    lo_code = min(max(int(lo**params.beta * scale), 0), max_code)  # truncation = round down
-    hi_code = min(max(int(hi**params.beta * scale) + 1, 0), max_code)
-    while lo_code > 0 and lut[lo_code] > lo:
-        lo_code -= 1
-    while hi_code < max_code and lut[hi_code] < hi:
-        hi_code += 1
+    lo_code = np.searchsorted(lut, lo, "right") - 1
+    hi_code = np.minimum(np.searchsorted(lut, hi, "right"), params.max_code)
+    if np.ndim(lo_code) == 0:
+        return int(lo_code), int(hi_code)
     return lo_code, hi_code
-
-
-def hi_saturates(hi: float, params: FixedPointParams) -> bool:
-    """True when the rounded-up code for hi exceeds the representable range,
-    or when even the largest code decodes below hi."""
-    return (int(hi**params.beta * params.scale) + 1 > params.max_code
-            or decode_lut(params)[params.max_code] < hi)
 
 
 def decode_code(code: int, params: FixedPointParams) -> float:

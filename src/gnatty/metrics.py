@@ -41,13 +41,6 @@ class MetricSpace(ABC):
         return [dist(a, b) for b in objs]
 
 
-def euclidean_distance(u, v) -> float:
-    """L2 distance between two equal-length real vectors."""
-    if len(u) != len(v):
-        raise ConfigError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return math.dist(u, v)
-
-
 def edit_distance(s: str, t: str) -> int:
     """Unit-cost Levenshtein distance (insert / delete / substitute).
 

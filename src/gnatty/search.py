@@ -28,8 +28,6 @@ from .errors import ConfigError
 from .metrics import MetricSpace
 from .tree import Bucket, GnatTree
 
-_UNTRIED, _TRIED, _ELIMINATED = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class RangeQuery:
@@ -49,23 +47,6 @@ class QueryStats:
     distance_evals: int = 0
     nodes_visited: int = 0
     entries_inspected: int = 0
-
-
-class PivotState:
-    """Per-center bookkeeping for one node visit.
-
-    Each center is untried, tried, or eliminated; a center is tried at
-    most once and never eliminated after being tried.  lower[pos] is the
-    best known lower bound on the distance from the query to anything
-    stored under that center, accumulated from the tried pivots' rows.
-    """
-
-    __slots__ = ("status", "measured", "lower")
-
-    def __init__(self, m: int):
-        self.status = [_UNTRIED] * m
-        self.measured: list[float | None] = [None] * m
-        self.lower = [0.0] * m
 
 
 def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
@@ -88,12 +69,17 @@ def _scan_bucket(bucket, q, objs, dist, r, results, stats) -> None:
 def _gnat_range_visit(node, q, objs, dist, r, results, stats) -> None:
     """Multi-pivot node visit with a fixed radius.
 
-    Pivots come from the node's measuring set (every center, unless the
-    tree was built with reduced tables).  The next pivot is the untried,
-    uneliminated one with the smallest accumulated lower bound, lowest
-    position first on ties.  Centers outside the measuring set cannot be
-    tried as pivots; survivors among them are measured directly at the
-    end.  Children of eliminated centers are skipped.
+    Each center is untried (status 0), tried (1) or eliminated (2); a
+    center is tried at most once and never eliminated after being tried.
+    lower[pos] is the best known lower bound on the distance from the
+    query to anything stored under that center, accumulated from the
+    tried pivots' rows.  Pivots come from the node's measuring set (every
+    center, unless the tree was built with reduced tables).  The next
+    pivot is the untried, uneliminated one with the smallest accumulated
+    lower bound, lowest position first on ties.  Centers outside the
+    measuring set cannot be tried as pivots; survivors among them are
+    measured directly at the end.  Children of eliminated centers are
+    skipped.
     """
     stats.nodes_visited += 1
     centers = node.centers
@@ -197,32 +183,23 @@ def _egnat_range_visit(node, q, objs, dist, r, results, stats) -> None:
             _egnat_range_visit(child, q, objs, dist, r, results, stats)
 
 
+def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace, visit) -> QueryStats:
+    stats = QueryStats()
+    if type(tree.root) is Bucket:
+        visit = _scan_bucket
+    visit(tree.root, query.obj, tree.dataset.objects, metric.distance, query.radius,
+          stats.results, stats)
+    return stats
+
+
 def gnat_range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace) -> QueryStats:
     """Exact range query with multi-pivot pruning."""
-    stats = QueryStats()
-    objs = tree.dataset.objects
-    root = tree.root
-    if type(root) is Bucket:
-        _scan_bucket(root, query.obj, objs, metric.distance, query.radius,
-                     stats.results, stats)
-    else:
-        _gnat_range_visit(root, query.obj, objs, metric.distance, query.radius,
-                          stats.results, stats)
-    return stats
+    return _range_search(tree, query, metric, _gnat_range_visit)
 
 
 def egnat_range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace) -> QueryStats:
     """Exact range query with nearest-pivot pruning."""
-    stats = QueryStats()
-    objs = tree.dataset.objects
-    root = tree.root
-    if type(root) is Bucket:
-        _scan_bucket(root, query.obj, objs, metric.distance, query.radius,
-                     stats.results, stats)
-    else:
-        _egnat_range_visit(root, query.obj, objs, metric.distance, query.radius,
-                           stats.results, stats)
-    return stats
+    return _range_search(tree, query, metric, _egnat_range_visit)
 
 
 class _KnnHeap:
@@ -276,8 +253,8 @@ def _gnat_knn_visit(node, q, objs, dist, best, stats) -> None:
     m = len(centers)
     lo_rows, hi_rows = node.table.decoded_bounds()
     measuring = node.measuring_set
-    state = PivotState(m)
-    status, lower, measured = state.status, state.lower, state.measured
+    status = [0] * m
+    lower = [0.0] * m
 
     while True:
         r = best.radius()
@@ -285,12 +262,12 @@ def _gnat_knn_visit(node, q, objs, dist, best, stats) -> None:
         best_row = -1
         best_lb = math.inf
         for row, pos in enumerate(measuring):
-            if status[pos] != _UNTRIED:
+            if status[pos] != 0:
                 continue
             lb = lower[pos]
             if lb > r:
                 # the radius shrank since this bound was accumulated
-                status[pos] = _ELIMINATED
+                status[pos] = 2
                 continue
             if lb < best_lb:
                 best_lb = lb
@@ -300,20 +277,19 @@ def _gnat_knn_visit(node, q, objs, dist, best, stats) -> None:
             break
         stats.distance_evals += 1
         e = dist(q, objs[centers[best_pos]])
-        status[best_pos] = _TRIED
-        measured[best_pos] = e
+        status[best_pos] = 1
         best.offer(centers[best_pos], e)
         r = best.radius()
         lo_row = lo_rows[best_row]
         hi_row = hi_rows[best_row]
         for j in range(m):
-            if status[j] != _UNTRIED:
+            if status[j] != 0:
                 continue
             stats.entries_inspected += 1
             lo = lo_row[j]
             hi = hi_row[j]
             if e - r > hi or e + r < lo:
-                status[j] = _ELIMINATED
+                status[j] = 2
                 continue
             gap = e - hi if e - hi > lo - e else lo - e
             if gap > lower[j]:
@@ -321,18 +297,17 @@ def _gnat_knn_visit(node, q, objs, dist, best, stats) -> None:
 
     if len(measuring) != m:
         for pos in range(m):
-            if status[pos] != _UNTRIED:
+            if status[pos] != 0:
                 continue
             if lower[pos] > best.radius():
-                status[pos] = _ELIMINATED
+                status[pos] = 2
                 continue
             stats.distance_evals += 1
             e = dist(q, objs[centers[pos]])
-            status[pos] = _TRIED
-            measured[pos] = e
+            status[pos] = 1
             best.offer(centers[pos], e)
 
-    order = sorted((lower[pos], pos) for pos in range(m) if status[pos] == _TRIED)
+    order = sorted((lower[pos], pos) for pos in range(m) if status[pos] == 1)
     for lb, pos in order:
         if lb > best.radius():
             continue

@@ -14,6 +14,7 @@ tables that keep rows only for a random subset of the centers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -22,20 +23,8 @@ import numpy as np
 
 from .datasets import Dataset, rng_stream
 from .errors import ConfigError
-from .fixedpoint import FixedPointParams, decode_lut, encode_interval, hi_saturates
+from .fixedpoint import FixedPointParams, decode_lut, encode_interval
 from .metrics import DistanceCounter, MetricSpace
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed distance interval with 0 <= lo <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi):
-            raise ConfigError(f"invalid interval [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -137,10 +126,6 @@ class RangeTable:
                     hi = np.where(self.hi == self.fixed_point.max_code, np.inf, hi)
                 self._decoded = (lo.tolist(), hi.tolist())
         return self._decoded
-
-    def interval(self, row: int, col: int) -> Interval:
-        lo, hi = self.decoded_bounds()
-        return Interval(lo[row][col], hi[row][col])
 
     def __eq__(self, other):
         if not isinstance(other, RangeTable):
@@ -323,18 +308,11 @@ def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
     """Fixed-point twin of an exact table (lo rounded down, hi rounded up)."""
     if table.fixed_point is not None:
         raise ConfigError("table is already fixed-point encoded")
-    rows, cols = table.rows, table.cols
-    lo_codes = np.zeros((rows, cols), dtype=np.uint16)
-    hi_codes = np.zeros((rows, cols), dtype=np.uint16)
-    saturated = False
-    for i in range(rows):
-        for j in range(cols):
-            lo_c, hi_c = encode_interval(float(table.lo[i, j]), float(table.hi[i, j]), params)
-            lo_codes[i, j] = lo_c
-            hi_codes[i, j] = hi_c
-            if hi_c == params.max_code and hi_saturates(float(table.hi[i, j]), params):
-                saturated = True
-    return RangeTable(lo_codes, hi_codes, fixed_point=params, hi_saturated=saturated)
+    lo_codes, hi_codes = encode_interval(table.lo, table.hi, params)
+    # only a saturated (clamped) hi code fails to decode above its bound
+    saturated = bool((decode_lut(params)[hi_codes] <= table.hi).any())
+    return RangeTable(lo_codes.astype(np.uint16), hi_codes.astype(np.uint16),
+                      fixed_point=params, hi_saturated=saturated)
 
 
 def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTree:
@@ -396,12 +374,8 @@ def with_fixed_point(tree: GnatTree, params: FixedPointParams) -> GnatTree:
                         [convert(child) for child in node.children],
                         list(node.measuring_set))
 
-    config = BuildConfig(arity=tree.config.arity, partition=tree.config.partition,
-                         gamma=tree.config.gamma, bucket_size=tree.config.bucket_size,
-                         reduce_factor=tree.config.reduce_factor, fixed_point=params,
-                         seed=tree.config.seed)
-    return GnatTree(convert(tree.root), config, tree.dataset, tree.size,
-                    tree.build_distance_evals)
+    return GnatTree(convert(tree.root), dataclasses.replace(tree.config, fixed_point=params),
+                    tree.dataset, tree.size, tree.build_distance_evals)
 
 
 def iter_nodes(root):

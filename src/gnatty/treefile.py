@@ -9,6 +9,7 @@ it again (object count is checked).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -24,34 +25,22 @@ _VERSION = 1
 
 _KIND_BUCKET = 0
 _KIND_NODE = 1
+_ARITY_KINDS = {"constant": ConstantArity, "power": PowerArity}
 
 
 def _config_json(config: BuildConfig) -> bytes:
-    arity = ({"kind": "constant", "m": config.arity.m}
-             if isinstance(config.arity, ConstantArity)
-             else {"kind": "power", "alpha": config.arity.alpha})
-    fp = None
-    if config.fixed_point is not None:
-        fp = {"total_bits": config.fixed_point.total_bits,
-              "magnitude_bits": config.fixed_point.magnitude_bits,
-              "beta": config.fixed_point.beta}
-    doc = {"arity": arity, "partition": config.partition, "gamma": config.gamma,
-           "bucket_size": config.bucket_size, "reduce_factor": config.reduce_factor,
-           "fixed_point": fp, "seed": config.seed}
+    doc = dataclasses.asdict(config)
+    doc["arity"]["kind"] = "constant" if isinstance(config.arity, ConstantArity) else "power"
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def _config_from_json(raw: bytes) -> BuildConfig:
     doc = json.loads(raw.decode("utf-8"))
-    arity_doc = doc["arity"]
-    arity = (ConstantArity(arity_doc["m"]) if arity_doc["kind"] == "constant"
-             else PowerArity(arity_doc["alpha"]))
-    fp = None
-    if doc["fixed_point"] is not None:
-        fp = FixedPointParams(**doc["fixed_point"])
-    return BuildConfig(arity=arity, partition=doc["partition"], gamma=doc["gamma"],
-                       bucket_size=doc["bucket_size"], reduce_factor=doc["reduce_factor"],
-                       fixed_point=fp, seed=doc["seed"])
+    arity = dict(doc["arity"])
+    arity_cls = _ARITY_KINDS[arity.pop("kind")]
+    fp = doc["fixed_point"]
+    return BuildConfig(**{**doc, "arity": arity_cls(**arity),
+                          "fixed_point": None if fp is None else FixedPointParams(**fp)})
 
 
 def _write_node(out: list[bytes], node) -> None:
@@ -146,7 +135,10 @@ def load_tree(path, dataset: Dataset) -> GnatTree:
     if version != _VERSION:
         raise ConfigError(f"{path}: unsupported tree file version {version}")
     (config_len,) = reader.unpack("<I")
-    config = _config_from_json(blob[reader.pos:reader.pos + config_len])
+    try:
+        config = _config_from_json(blob[reader.pos:reader.pos + config_len])
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: corrupt build config: {exc!r}") from exc
     reader.pos += config_len
     (size,) = reader.unpack("<Q")
     if size != len(dataset):

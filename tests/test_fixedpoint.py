@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gnatty import ConfigError, FixedPointParams, decode_code, encode_interval, params_for_integer_range
-from gnatty.fixedpoint import decode_lut, hi_saturates
+from gnatty import (ConfigError, FixedPointParams, RangeTable, decode_code, encode_interval,
+                    encode_table, params_for_integer_range)
+from gnatty.fixedpoint import decode_lut
 
 Q28 = FixedPointParams(total_bits=8, magnitude_bits=2, beta=1 / 5)
 
@@ -52,11 +54,14 @@ def test_codes_ordered(a, b):
 
 
 def test_saturation_detection():
-    assert not hi_saturates(900.0, Q28)
-    assert hi_saturates(2000.0, Q28)
-    lo_code, hi_code = encode_interval(2000.0, 2000.0, Q28)
-    assert hi_code == Q28.max_code
-    assert decode_code(hi_code, Q28) < 2000.0  # why the saturation flag exists
+    # below the largest decoded value the hi code decodes above hi ...
+    _, hi_code = encode_interval(900.0, 900.0, Q28)
+    assert hi_code < Q28.max_code and decode_code(hi_code, Q28) > 900.0
+    # ... from it on no code does: hi clamps to max_code, which decodes <= hi
+    top = decode_code(Q28.max_code, Q28)
+    for hi in (top, 2000.0):
+        assert encode_interval(hi, hi, Q28) == (Q28.max_code, Q28.max_code)
+    assert top < 2000.0  # why the saturation flag exists
 
 
 def test_decode_lut_matches_scalar():
@@ -85,18 +90,28 @@ def test_params_for_integer_range():
     FixedPointParams(total_bits=12, magnitude_bits=4, beta=0.2),
 ])
 def test_every_code_boundary_rounds_outward(params):
-    # each code's decoded value and the ulps on either side of it: the
-    # exact spots where float rounding in x**beta * scale can truncate to
-    # a code one step on the wrong side
+    # each code's decoded value and the two ulps on either side of it: the
+    # spots where a code one step on the wrong side would show
     lut = decode_lut(params)
-    for code in range(params.max_code + 1):
-        v = float(lut[code])
-        for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
-            if x < 0:
-                continue
-            lo_code, hi_code = encode_interval(x, x, params)
-            assert lut[lo_code] <= x, (code, x, lo_code)
-            if hi_saturates(x, params):
-                assert hi_code == params.max_code
-            else:
-                assert lut[hi_code] >= x, (code, x, hi_code)
+    xs = []
+    for v in lut.tolist():
+        below = math.nextafter(v, -math.inf)
+        above = math.nextafter(v, math.inf)
+        xs += [math.nextafter(below, -math.inf), below, v, above, math.nextafter(above, math.inf)]
+    xs = np.array([x for x in xs if x >= 0])
+    lo_codes, hi_codes = encode_interval(xs, xs, params)
+    for x, lo_code, hi_code in zip(xs.tolist(), lo_codes.tolist(), hi_codes.tolist()):
+        assert encode_interval(x, x, params) == (lo_code, hi_code)
+        # lo: the largest code that decodes to <= x
+        assert lo_code == np.flatnonzero(lut <= x).max(), (x, lo_code)
+        greater = np.flatnonzero(lut > x)
+        if greater.size:
+            # hi: the smallest code that decodes to > x
+            assert hi_code == greater.min(), (x, hi_code)
+        else:
+            # no such code: max_code, and the table says it saturated
+            assert hi_code == params.max_code
+            table = encode_table(RangeTable(np.array([[x]]), np.array([[x]])), params)
+            assert table.hi_saturated
+    fits = xs[xs < lut[-1]][None, :]
+    assert not encode_table(RangeTable(fits, fits), params).hi_saturated

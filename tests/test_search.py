@@ -98,11 +98,11 @@ def test_pruning_is_safe_for_every_entry():
     for q in queries:
         r = calibrate_radius(ds, EUCLID, q, 10)
         for node in iter_nodes(tree.root):
+            lo_rows, hi_rows = node.table.decoded_bounds()
             for row, pos in enumerate(node.measuring_set):
                 e = EUCLID.distance(q, ds[node.centers[pos]])
                 for col in range(len(node.centers)):
-                    iv = node.table.interval(row, col)
-                    if prune_check(e, r, iv.lo, iv.hi):
+                    if prune_check(e, r, lo_rows[row][col], hi_rows[row][col]):
                         covered = [node.centers[col]] + subtree_object_ids(node.children[col])
                         assert all(EUCLID.distance(q, ds[oid]) > r for oid in covered)
 

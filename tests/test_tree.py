@@ -196,9 +196,10 @@ def test_range_table_examples():
     ds = line_dataset(0.0, 4.0, 3.0, 5.0)
     counter = DistanceCounter(EUCLID)
     table = compute_range_table([0, 1], [0, 1], [[], [2, 3]], ds, counter)
-    assert table.interval(0, 0).lo == table.interval(0, 0).hi == 0.0       # self, empty child
-    assert (table.interval(0, 1).lo, table.interval(0, 1).hi) == (3.0, 5.0)
-    assert table.interval(1, 0).lo == table.interval(1, 0).hi == 4.0       # singleton child set
+    lo, hi = table.decoded_bounds()
+    assert lo[0][0] == hi[0][0] == 0.0          # self, empty child
+    assert (lo[0][1], hi[0][1]) == (3.0, 5.0)
+    assert lo[1][0] == hi[1][0] == 4.0          # singleton child set
     # evals: every (pivot, object) pair once, minus the two d(x,x) shortcuts
     assert counter.count == 2 * (1 + 3) - 2
 
@@ -211,7 +212,7 @@ def test_encode_table_marks_saturation():
     params = FixedPointParams(8, 2, 0.2)
     coded = encode_table(RangeTable(lo, hi), params)
     assert coded.hi_saturated
-    assert coded.interval(0, 0).hi == math.inf
+    assert coded.decoded_bounds()[1][0][0] == math.inf
 
 
 # ---------------------------------------------------------------- build
@@ -288,15 +289,16 @@ def test_partition_completeness(seed, n, partition, constant, reduce_factor, buc
 def _assert_table_sound(tree, metric):
     ds = tree.dataset
     for node in iter_nodes(tree.root):
+        lo_rows, hi_rows = node.table.decoded_bounds()
         for row, pos in enumerate(node.measuring_set):
             pivot = ds[node.centers[pos]]
             for col, center in enumerate(node.centers):
-                iv = node.table.interval(row, col)
+                lo, hi = lo_rows[row][col], hi_rows[row][col]
                 members = [center] + subtree_object_ids(node.children[col])
                 for oid in members:
                     d = metric.distance(pivot, ds[oid])
-                    assert iv.lo <= d + 1e-12
-                    assert d <= iv.hi + 1e-12 or iv.hi == math.inf
+                    assert lo <= d + 1e-12
+                    assert d <= hi + 1e-12 or hi == math.inf
 
 
 def test_table_soundness_exact_and_fixed_point():

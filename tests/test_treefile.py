@@ -1,9 +1,12 @@
+import hashlib
+import struct
+
 import pytest
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, EuclideanMetric,
                     FixedPointParams, PowerArity, RangeQuery, build,
                     generate_uniform_vectors, gnat_range_search, load_tree, save_tree,
-                    table_entry_count)
+                    table_entry_count, with_fixed_point)
 
 EUCLID = EuclideanMetric()
 
@@ -81,3 +84,32 @@ def test_bad_magic_and_truncation(tmp_path):
     (tmp_path / "cut.gnt").write_bytes(blob[:len(blob) // 2])
     with pytest.raises(ConfigError):
         load_tree(tmp_path / "cut.gnt", ds)
+
+
+@pytest.mark.parametrize("config_blob", [b"{", b"[]", b'{"arity": 1}', b"\xff"])
+def test_corrupt_config_json(tmp_path, config_blob):
+    ds = generate_uniform_vectors(30, 3, seed=1)
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), seed=1))
+    path = tmp_path / "tree.gnt"
+    save_tree(tree, path)
+    blob = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    path.write_bytes(blob[:8] + struct.pack("<I", len(config_blob)) + config_blob
+                     + blob[12 + config_len:])
+    with pytest.raises(ConfigError, match="corrupt build config"):
+        load_tree(path, ds)
+
+
+def test_golden_tree_file_bytes(tmp_path):
+    # sha256 of save_tree output, pinned so that codec and config-JSON
+    # changes cannot alter the file format unnoticed
+    ds = generate_uniform_vectors(300, 6, seed=0)
+    tree = build(ds, EUCLID, BuildConfig(arity=PowerArity(0.5), partition="ball", seed=0))
+    twin = with_fixed_point(tree, FixedPointParams(8, 2, 0.2))
+    for name, t, digest in [
+        ("exact", tree, "eaf71b07aaf4937aacc7d316b2c4a95cf46549dd3473d6a4766639a7c1bab31b"),
+        ("fp", twin, "394c90b3a6b6ee99e98db05e5eba20077f0b521fa83270a605a89db378128db9"),
+    ]:
+        path = tmp_path / f"{name}.gnt"
+        save_tree(t, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
