@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -192,28 +192,29 @@ def select_pivots(object_ids, m: int, rng: np.random.Generator) -> list[int]:
 
 
 def hyperplane_partition(object_ids, center_ids, dataset: Dataset,
-                         metric: MetricSpace) -> list[list[int]]:
+                         metric: MetricSpace) -> tuple[list[list[int]], np.ndarray]:
     """Assign every object to its nearest center (nearest-center cells).
 
     Ties go to the lowest center position.  Costs exactly
     len(object_ids) * len(center_ids) distance evaluations, one batched
-    call per center.
+    call per center.  Returns (assigned, measured): assigned[pos] lists
+    the objects of center pos in object_ids order, and row pos of the
+    measured matrix holds that center's distances to every object, in
+    object_ids order.
     """
     if not center_ids:
         raise ConfigError("hyperplane partition needs at least one center")
     objs = dataset.objects
     points = list(map(objs.__getitem__, object_ids))
-    best = np.full(len(points), np.inf)
-    nearest = np.zeros(len(points), dtype=np.intp)
+    # one block, freed whole, leaves no holes in the heap
+    measured = np.empty((len(center_ids), len(points)))
     for pos, cid in enumerate(center_ids):
-        d = np.array(metric.distances(objs[cid], points), dtype=np.float64)
-        closer = d < best  # strict: an equal later center never takes over
-        best[closer] = d[closer]
-        nearest[closer] = pos
+        measured[pos] = metric.distances(objs[cid], points)
+    nearest = measured.argmin(axis=0)  # the first minimum: the lowest position
     assigned: list[list[int]] = [[] for _ in center_ids]
     for oid, pos in zip(object_ids, nearest.tolist()):
         assigned[pos].append(oid)
-    return assigned
+    return assigned, measured
 
 
 def ball_capacity(object_count: int, m: int, gamma: float) -> int:
@@ -236,13 +237,17 @@ def nearest_first(d: np.ndarray, ids, take: int) -> np.ndarray:
 
 
 def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
-                   metric: MetricSpace) -> list[list[int]]:
+                   metric: MetricSpace) -> tuple[list[list[int]], list[np.ndarray]]:
     """Greedy balls: each center but the last takes its nearest unclaimed
     objects up to a fixed capacity; the last center takes the leftovers.
 
     Capacities use the initial object count, so gamma < 1 starves the
     early balls and funnels mass into the last child (an unbalanced,
     right-deep tree).  Ties at the ball boundary go to the lower object id.
+    Returns (assigned, measured): assigned[pos] lists the ball of center
+    pos in object_ids order, and measured[pos] holds that center's
+    distances to the objects still unclaimed at its turn, in object_ids
+    order (empty for the last center, which measures nothing).
     """
     m = len(center_ids)
     if m == 0:
@@ -252,11 +257,19 @@ def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
     remaining = list(object_ids)
     points = list(map(objs.__getitem__, remaining))
     assigned: list[list[int]] = []
+    # center pos measures the objects still unclaimed at its turn; the
+    # vectors are slices of one block, which, freed whole, leaves no holes
+    # in the heap
+    sizes = [max(0, len(remaining) - pos * capacity) for pos in range(m - 1)] + [0]
+    ends = list(accumulate(sizes))
+    block = np.empty(ends[-1])
+    measured = [block[end - size:end] for size, end in zip(sizes, ends)]
     for pos in range(m - 1):
         if not remaining:
             assigned.append([])
             continue
         d = np.array(metric.distances(objs[center_ids[pos]], points), dtype=np.float64)
+        measured[pos][:] = d
         taken = np.zeros(len(remaining), dtype=bool)
         taken[nearest_first(d, remaining, min(capacity, len(remaining)))] = True
         assigned.append(list(compress(remaining, taken.tolist())))
@@ -264,18 +277,26 @@ def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
         remaining = list(compress(remaining, kept))
         points = list(compress(points, kept))
     assigned.append(remaining)
-    return assigned
+    return assigned, measured
 
 
 def compute_range_table(measuring_ids, center_ids, partitions, dataset: Dataset,
-                        metric: MetricSpace) -> RangeTable:
+                        metric: MetricSpace, object_ids=(), measured=None) -> RangeTable:
     """Exact [min, max] of distances from each measuring pivot to each
     child's objects, the child's center included.
 
-    The only distance shortcut taken is d(x, x) = 0 when the measuring
-    pivot is the child center itself.  Each pivot measures the whole node
-    in one batched call over the children laid out end to end, each
-    child's center first.
+    Each pivot's row covers the children laid out end to end, each child's
+    center first.  d(x, x) = 0 is taken, uncharged, when the pivot is a
+    child center itself.  A pivot that is not a center, and a center
+    without measured distances, measure the whole layout but themselves.
+
+    measured is what the partition of object_ids into partitions handed
+    back: measured[j] holds center j's distances to the objects of a suffix
+    of the children (all of them for hyperplane cells, ball j onward for
+    balls), in object_ids order.  Center j fills that suffix from it and
+    measures the rest, so no (pivot, object) pair is measured twice: the
+    children before the suffix in one batched call over the front of the
+    layout, and the other centers of the suffix in another.
     """
     rows, cols = len(measuring_ids), len(center_ids)
     lo = np.zeros((rows, cols), dtype=np.float64)
@@ -288,17 +309,43 @@ def compute_range_table(measuring_ids, center_ids, partitions, dataset: Dataset,
         points.append(objs[cid])
         points.extend(map(objs.__getitem__, part))
     center_pos = {cid: j for j, cid in enumerate(center_ids)}
+    if measured is not None:
+        slot_of = dict(zip(chain.from_iterable(partitions), chain.from_iterable(
+            range(s + 1, s + 1 + len(part)) for s, part in zip(starts, partitions))))
+        object_slots = np.fromiter(map(slot_of.__getitem__, object_ids),
+                                   dtype=np.intp, count=len(object_ids))
+        center_points = [points[s] for s in starts]
+        center_slots = np.array(starts)
+        # suffix_from[k]: the first child of the longest suffix of children
+        # holding k objects; for k = len(measured[j]) > 0 it is never after j
+        suffix_from, k = {}, 0
+        for c in reversed(range(cols)):
+            k += len(partitions[c])
+            suffix_from[k] = c
     d = np.empty(len(points), dtype=np.float64)
     for i, pid in enumerate(measuring_ids):
         pivot = objs[pid]
         j = center_pos.get(pid)
         if j is None:
             d[:] = metric.distances(pivot, points)
-        else:
+        elif measured is None or not len(measured[j]):
             s = starts[j]
             d[:s] = metric.distances(pivot, points[:s])
             d[s] = 0.0
             d[s + 1:] = metric.distances(pivot, points[s + 1:])
+        else:
+            known = measured[j]
+            c = suffix_from[len(known)]
+            front = starts[c]
+            if front:
+                d[:front] = metric.distances(pivot, points[:front])
+            if len(known) == len(object_ids):
+                d[object_slots] = known
+            else:
+                d[object_slots[object_slots > front]] = known
+            between = metric.distances(pivot, center_points[c:j] + center_points[j + 1:])
+            between.insert(j - c, 0.0)
+            d[center_slots[c:]] = between
         lo[i] = np.minimum.reduceat(d, starts)
         hi[i] = np.maximum.reduceat(d, starts)
     return RangeTable(lo, hi)
@@ -318,7 +365,7 @@ def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
 def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTree:
     """Build a tree over the whole dataset.
 
-    Recursion stops at a bucket once a node's object count drops to
+    Splitting stops at a bucket once a node's object count drops to
     bucket_size (or to a single object when bucket_size is 0).  Every
     object ends up in exactly one place: a center of one internal node or
     a member of one bucket.
@@ -334,28 +381,42 @@ def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTre
 
 
 def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
-    if len(object_ids) <= max(1, config.bucket_size):
-        return Bucket(object_ids)
-    m = arity_for(len(object_ids), config.arity)
-    centers = select_pivots(object_ids, m, pivot_rng)
-    center_set = set(centers)
-    rest = [oid for oid in object_ids if oid not in center_set]
-    if config.partition == "ball":
-        partitions = ball_partition(rest, centers, config.gamma, dataset, metric)
-    else:
-        partitions = hyperplane_partition(rest, centers, dataset, metric)
-    if config.reduce_factor > 1.0:
-        keep = math.ceil(m / config.reduce_factor)
-        positions = sorted(reduce_rng.choice(m, size=keep, replace=False).tolist())
-    else:
-        positions = list(range(m))
-    table = compute_range_table([centers[p] for p in positions], centers,
-                                partitions, dataset, metric)
-    if config.fixed_point is not None:
-        table = encode_table(table, config.fixed_point)
-    children = [_build_node(part, dataset, metric, config, pivot_rng, reduce_rng)
-                for part in partitions]
-    return GnatNode(centers, table, children, positions)
+    """The subtree over object_ids.
+
+    An explicit stack visits nodes in the recursive pre-order (a node,
+    then each child's subtree in turn), so the pivot and reduce draws
+    come in the same sequence, and depth is not bounded by Python's
+    recursion limit.
+    """
+    top = [None]
+    stack = [(object_ids, top, 0)]
+    while stack:
+        object_ids, siblings, slot = stack.pop()
+        if len(object_ids) <= max(1, config.bucket_size):
+            siblings[slot] = Bucket(object_ids)
+            continue
+        m = arity_for(len(object_ids), config.arity)
+        centers = select_pivots(object_ids, m, pivot_rng)
+        center_set = set(centers)
+        rest = [oid for oid in object_ids if oid not in center_set]
+        if config.partition == "ball":
+            partitions, measured = ball_partition(rest, centers, config.gamma, dataset, metric)
+        else:
+            partitions, measured = hyperplane_partition(rest, centers, dataset, metric)
+        if config.reduce_factor > 1.0:
+            keep = math.ceil(m / config.reduce_factor)
+            positions = sorted(reduce_rng.choice(m, size=keep, replace=False).tolist())
+        else:
+            positions = list(range(m))
+        table = compute_range_table([centers[p] for p in positions], centers,
+                                    partitions, dataset, metric, rest, measured)
+        del measured  # the children need none of this node's distances
+        if config.fixed_point is not None:
+            table = encode_table(table, config.fixed_point)
+        node = GnatNode(centers, table, [None] * m, positions)
+        siblings[slot] = node
+        stack.extend((partitions[j], node.children, j) for j in reversed(range(m)))
+    return top[0]
 
 
 def with_fixed_point(tree: GnatTree, params: FixedPointParams) -> GnatTree:

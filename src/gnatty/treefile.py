@@ -43,26 +43,31 @@ def _config_from_json(raw: bytes) -> BuildConfig:
                           "fixed_point": None if fp is None else FixedPointParams(**fp)})
 
 
-def _write_node(out: list[bytes], node) -> None:
-    if isinstance(node, Bucket):
-        out.append(struct.pack("<BI", _KIND_BUCKET, len(node.object_ids)))
-        out.append(np.asarray(node.object_ids, dtype=np.uint32).tobytes())
-        return
-    table = node.table
-    out.append(struct.pack("<BI", _KIND_NODE, len(node.centers)))
-    out.append(np.asarray(node.centers, dtype=np.uint32).tobytes())
-    out.append(struct.pack("<I", len(node.measuring_set)))
-    out.append(np.asarray(node.measuring_set, dtype=np.uint32).tobytes())
-    if table.fixed_point is None:
-        out.append(struct.pack("<BB", 0, 0))
-        out.append(table.lo.astype(np.float64, copy=False).tobytes())
-        out.append(table.hi.astype(np.float64, copy=False).tobytes())
-    else:
-        out.append(struct.pack("<BB", 1, int(table.hi_saturated)))
-        out.append(table.lo.astype(np.uint16, copy=False).tobytes())
-        out.append(table.hi.astype(np.uint16, copy=False).tobytes())
-    for child in node.children:
-        _write_node(out, child)
+def _write_node(out: list[bytes], root) -> None:
+    """Append the records of root's subtree in pre-order (a node, then each
+    child's subtree in turn); an explicit stack keeps deep trees off
+    Python's recursion limit."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bucket):
+            out.append(struct.pack("<BI", _KIND_BUCKET, len(node.object_ids)))
+            out.append(np.asarray(node.object_ids, dtype=np.uint32).tobytes())
+            continue
+        table = node.table
+        out.append(struct.pack("<BI", _KIND_NODE, len(node.centers)))
+        out.append(np.asarray(node.centers, dtype=np.uint32).tobytes())
+        out.append(struct.pack("<I", len(node.measuring_set)))
+        out.append(np.asarray(node.measuring_set, dtype=np.uint32).tobytes())
+        if table.fixed_point is None:
+            out.append(struct.pack("<BB", 0, 0))
+            out.append(table.lo.astype(np.float64, copy=False).tobytes())
+            out.append(table.hi.astype(np.float64, copy=False).tobytes())
+        else:
+            out.append(struct.pack("<BB", 1, int(table.hi_saturated)))
+            out.append(table.lo.astype(np.uint16, copy=False).tobytes())
+            out.append(table.hi.astype(np.uint16, copy=False).tobytes())
+        stack.extend(reversed(node.children))
 
 
 def save_tree(tree: GnatTree, path) -> None:
@@ -98,29 +103,61 @@ class _Reader:
         return arr
 
 
-def _read_node(reader: _Reader, fp: FixedPointParams | None):
-    kind, count = reader.unpack("<BI")
-    if kind == _KIND_BUCKET:
-        return Bucket(reader.array(np.uint32, count).astype(int).tolist())
-    if kind != _KIND_NODE:
-        raise ConfigError(f"{reader.path}: corrupt node record (kind={kind})")
-    centers = reader.array(np.uint32, count).astype(int).tolist()
-    (n_rows,) = reader.unpack("<I")
-    measuring = reader.array(np.uint32, n_rows).astype(int).tolist()
-    codec, saturated = reader.unpack("<BB")
-    shape = (n_rows, count)
-    if codec == 0:
-        lo = reader.array(np.float64, n_rows * count).reshape(shape)
-        hi = reader.array(np.float64, n_rows * count).reshape(shape)
-        table = RangeTable(lo, hi)
-    else:
-        if fp is None:
-            raise ConfigError(f"{reader.path}: fixed-point table but config has no codec params")
-        lo = reader.array(np.uint16, n_rows * count).reshape(shape)
-        hi = reader.array(np.uint16, n_rows * count).reshape(shape)
-        table = RangeTable(lo, hi, fixed_point=fp, hi_saturated=bool(saturated))
-    children = [_read_node(reader, fp) for _ in range(count)]
-    return GnatNode(centers, table, children, measuring)
+def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
+    """Read the pre-order records of one tree over objects [0, size).
+
+    Checks what the search relies on: every object id in [0, size) appears
+    exactly once, each measuring set is non-empty, strictly ascending and
+    within the node's centers, and no fixed-point code exceeds max_code.
+    """
+    ids = []
+    top = [None]
+    stack = [(top, 0)]
+    while stack:
+        siblings, slot = stack.pop()
+        kind, count = reader.unpack("<BI")
+        if kind == _KIND_BUCKET:
+            members = reader.array(np.uint32, count)
+            ids.append(members)
+            siblings[slot] = Bucket(members.astype(int).tolist())
+            continue
+        if kind != _KIND_NODE:
+            raise ConfigError(f"{reader.path}: corrupt node record (kind={kind})")
+        centers = reader.array(np.uint32, count)
+        ids.append(centers)
+        (n_rows,) = reader.unpack("<I")
+        measuring = reader.array(np.uint32, n_rows).astype(int).tolist()
+        if (not measuring or measuring[-1] >= count
+                or any(a >= b for a, b in zip(measuring, measuring[1:]))):
+            raise ConfigError(f"{reader.path}: measuring set {measuring} is not "
+                              f"a non-empty ascending subset of [0, {count})")
+        codec, saturated = reader.unpack("<BB")
+        shape = (n_rows, count)
+        if codec == 0:
+            lo = reader.array(np.float64, n_rows * count).reshape(shape)
+            hi = reader.array(np.float64, n_rows * count).reshape(shape)
+            table = RangeTable(lo, hi)
+        else:
+            if fp is None:
+                raise ConfigError(f"{reader.path}: fixed-point table but config has no codec params")
+            lo = reader.array(np.uint16, n_rows * count).reshape(shape)
+            hi = reader.array(np.uint16, n_rows * count).reshape(shape)
+            worst = max(int(lo.max()), int(hi.max()))
+            if worst > fp.max_code:
+                raise ConfigError(f"{reader.path}: code {worst} exceeds max_code {fp.max_code}")
+            table = RangeTable(lo, hi, fixed_point=fp, hi_saturated=bool(saturated))
+        node = GnatNode(centers.astype(int).tolist(), table, [None] * count, measuring)
+        siblings[slot] = node
+        stack.extend((node.children, j) for j in reversed(range(count)))
+    stored = np.concatenate(ids).astype(np.int64)
+    if len(stored) and stored.max() >= size:
+        raise ConfigError(f"{reader.path}: object id {int(stored.max())} outside [0, {size})")
+    counts = np.bincount(stored, minlength=size)
+    if (counts != 1).any():
+        bad = int(np.flatnonzero(counts != 1)[0])
+        raise ConfigError(f"{reader.path}: object id {bad} appears {int(counts[bad])} times, "
+                          "not exactly once")
+    return top[0]
 
 
 def load_tree(path, dataset: Dataset) -> GnatTree:
@@ -144,5 +181,5 @@ def load_tree(path, dataset: Dataset) -> GnatTree:
     if size != len(dataset):
         raise ConfigError(
             f"{path}: tree was built over {size} objects, dataset has {len(dataset)}")
-    root = _read_node(reader, config.fixed_point)
+    root = _read_node(reader, config.fixed_point, size)
     return GnatTree(root, config, dataset, size)

@@ -1,8 +1,9 @@
 import hashlib
+import sys
 
 import pytest
 
-from gnatty import cli, generate_uniform_vectors, load_tree
+from gnatty import GnatNode, cli, generate_uniform_vectors, load_tree, split_queries
 from gnatty.datasets import save_vectors
 
 SMALL = ["--n", "150", "--dim", "3", "--queries", "10", "--seed", "0"]
@@ -15,11 +16,23 @@ def test_build_and_save_tree(tmp_path, capsys):
     assert code == 0
     assert "entries=" in capsys.readouterr().out
     ds = generate_uniform_vectors(150, 3, seed=0)
-    from gnatty import split_queries
-
     _, database = split_queries(ds, 10, 0)
     tree = load_tree(tree_path, database)
     assert tree.size == 140
+
+
+def test_build_and_save_deep_tree(tmp_path):
+    # two-center balls with gamma = 0.1 nest deeper than the recursion limit
+    tree_path = tmp_path / "deep.gnt"
+    code = cli.main(["build", "--n", "4010", "--dim", "3", "--queries", "10", "--seed", "0",
+                     "--index", "gnat", "--arity-const", "2", "--partition", "ball",
+                     "--gamma", "0.1", "--save-tree", str(tree_path)])
+    assert code == 0
+    _, database = split_queries(generate_uniform_vectors(4010, 3, seed=0), 10, 0)
+    node, depth = load_tree(tree_path, database).root, 0
+    while isinstance(node, GnatNode):
+        node, depth = node.children[-1], depth + 1
+    assert depth > sys.getrecursionlimit()
 
 
 def test_save_tree_rejects_multiple_variants(tmp_path):
@@ -116,7 +129,9 @@ def test_sweep_golden_counters(tmp_path):
     # two runs agree, which a counter change made on both runs still passes.
     # The CSV has no wall-clock columns (no --times), so its bytes depend only
     # on the algorithms.  Change the hash only with a change that says openly
-    # that it alters the algorithm.
+    # that it alters the algorithm.  Re-pinned from cb0568b1... when range
+    # tables began reusing the partition's distances: only
+    # build_distance_evals moved, down in the 32 gnatty and gnat rows.
     out = tmp_path / "golden.csv"
     args = ["sweep", "--n", "520", "--dim", "6", "--queries", "20", "--seed", "0",
             "--index", "gnatty", "gnat", "aesa", "lc", "--codec", "exact", "fp",
@@ -124,4 +139,4 @@ def test_sweep_golden_counters(tmp_path):
             "--target-k", "10", "--radius", "0.3", "--out", str(out)]
     assert cli.main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "cb0568b1ae7569c5b9a6a99a440ca5cd7a79deaffe125ea605c86a95c3b42bcd")
+        "bc006c189db3c2e9e98a355da6d328ed27cc37afa3f524e5e9dac827a6428f30")

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset,
                     DistanceCounter, EuclideanMetric, FixedPointParams, GnatNode,
-                    PowerArity, arity_for, ball_partition, build, compute_range_table,
-                    encode_table, generate_uniform_vectors, hyperplane_partition,
-                    iter_nodes, select_pivots, subtree_object_ids, table_bytes,
-                    table_entry_count, with_fixed_point)
+                    MetricSpace, PowerArity, arity_for, ball_partition, build,
+                    compute_range_table, encode_table, generate_uniform_vectors,
+                    hyperplane_partition, iter_nodes, select_pivots, subtree_object_ids,
+                    table_bytes, table_entry_count, with_fixed_point)
 from gnatty.datasets import rng_stream
 from gnatty.tree import ball_capacity
 
@@ -62,15 +62,18 @@ def test_select_pivots():
 
 
 def test_hyperplane_examples():
-    ds = line_dataset(0.0, 1.0, 0.1, 0.9)
-    assert hyperplane_partition([], [0, 1], ds, EUCLID) == [[], []]
-    parts = hyperplane_partition([2, 3], [0, 1], ds, EUCLID)
+    ds = line_dataset(0.0, 1.0, 0.25, 0.75)
+    parts, measured = hyperplane_partition([], [0, 1], ds, EUCLID)
+    assert parts == [[], []] and [d.tolist() for d in measured] == [[], []]
+    parts, measured = hyperplane_partition([2, 3], [0, 1], ds, EUCLID)
     assert parts == [[2], [3]]
+    # every center's distances to every object, in object order
+    assert [d.tolist() for d in measured] == [[0.25, 0.75], [0.75, 0.25]]
 
 
 def test_hyperplane_tie_goes_to_lower_position():
     ds = line_dataset(0.0, 1.0, 0.5)
-    parts = hyperplane_partition([2], [0, 1], ds, EUCLID)
+    parts, _ = hyperplane_partition([2], [0, 1], ds, EUCLID)
     assert parts == [[2], []]
 
 
@@ -92,7 +95,7 @@ def test_ball_partition_sizes():
     centers = [100, 101, 102, 103]
     objects = list(range(100))
     for gamma, first_sizes, last in [(1.0, 25, 25), (0.5, 3, 91)]:
-        parts = ball_partition(objects, centers, gamma, ds, EUCLID)
+        parts, _ = ball_partition(objects, centers, gamma, ds, EUCLID)
         assert [len(p) for p in parts[:-1]] == [first_sizes] * 3
         assert len(parts[-1]) == last
         assert sorted(x for p in parts for x in p) == objects
@@ -101,15 +104,17 @@ def test_ball_partition_sizes():
 def test_ball_partition_takes_nearest():
     # center 0 at x=0 must claim the two closest objects
     ds = line_dataset(0.0, 10.0, 1.0, 2.0, 9.0, 8.0)
-    parts = ball_partition([2, 3, 4, 5], [0, 1], 1.0, ds, EUCLID)
+    parts, measured = ball_partition([2, 3, 4, 5], [0, 1], 1.0, ds, EUCLID)
     assert parts[0] == [2, 3]
     assert parts[1] == [4, 5]
+    # the first center measured every unclaimed object; the last, nothing
+    assert [d.tolist() for d in measured] == [[1.0, 2.0, 9.0, 8.0], []]
 
 
 def test_ball_partition_tie_prefers_lower_id():
     ds = line_dataset(0.0, 5.0, 1.0, -1.0, 2.0)
     # objects 2 and 3 are both at distance 1 from center 0; capacity 1
-    parts = ball_partition([2, 3, 4], [0, 1], 0.001, ds, EUCLID)
+    parts, _ = ball_partition([2, 3, 4], [0, 1], 0.001, ds, EUCLID)
     assert parts[0] == [2]
 
 
@@ -117,9 +122,11 @@ def test_ball_balance_property():
     ds = generate_uniform_vectors(500, 5, seed=8)
     objects = list(range(9, 500))
     centers = list(range(9))
-    parts = ball_partition(objects, centers, 1.0, ds, EUCLID)
+    parts, measured = ball_partition(objects, centers, 1.0, ds, EUCLID)
     expected = max(1, math.ceil(len(objects) / 9))
     assert all(len(p) == expected for p in parts[:-1])
+    # each center measured just the objects still unclaimed at its turn
+    assert [len(d) for d in measured] == [len(objects) - i * expected for i in range(8)] + [0]
 
 
 # ---------------------------------------------------------------- range table
@@ -180,15 +187,24 @@ def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
                                  (lambda c: ball_partition(objects, centers, gamma, dataset, c),
                                   lambda c: _ref_ball(objects, centers, gamma, dataset, c))):
         batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
-        parts = partition(batched)
+        parts, measured = partition(batched)
         assert parts == reference(scalar)
-        assert batched.count == scalar.count
+        assert batched.count == scalar.count == sum(map(len, measured))
         measuring = centers[::2] + [objects[0]]  # a non-center pivot too
-        batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
-        table = compute_range_table(measuring, centers, parts, dataset, batched)
+        scalar = DistanceCounter(EUCLID)
         lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
+        # without the partition's distances every pair is measured here
+        batched = DistanceCounter(EUCLID)
+        table = compute_range_table(measuring, centers, parts, dataset, batched)
         assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
         assert batched.count == scalar.count
+        # with them, the measuring centers skip exactly the pairs already measured
+        batched = DistanceCounter(EUCLID)
+        table = compute_range_table(measuring, centers, parts, dataset, batched,
+                                    objects, measured)
+        assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
+        reused = sum(len(measured[centers.index(c)]) for c in centers[::2])
+        assert batched.count == scalar.count - reused
 
 
 def test_range_table_examples():
@@ -202,6 +218,20 @@ def test_range_table_examples():
     assert lo[1][0] == hi[1][0] == 4.0          # singleton child set
     # evals: every (pivot, object) pair once, minus the two d(x,x) shortcuts
     assert counter.count == 2 * (1 + 3) - 2
+    # the same node from each partition's own distances: the table
+    # measures only the pairs the partition did not
+    counter = DistanceCounter(EUCLID)
+    parts, measured = hyperplane_partition([2, 3], [0, 1], ds, counter)
+    assert parts == [[], [2, 3]]
+    table = compute_range_table([0, 1], [0, 1], parts, ds, counter, [2, 3], measured)
+    assert table.decoded_bounds() == ([[0.0, 3.0], [4.0, 0.0]], [[0.0, 5.0], [4.0, 1.0]])
+    assert counter.count == 2 * 2 + 2         # partition, then one center pair per row
+    counter = DistanceCounter(EUCLID)
+    parts, measured = ball_partition([2, 3], [0, 1], 1.0, ds, counter)
+    assert parts == [[2], [3]]                 # capacity 1: the center at 0 claims 3.0
+    table = compute_range_table([0, 1], [0, 1], parts, ds, counter, [2, 3], measured)
+    assert table.decoded_bounds() == ([[0.0, 4.0], [1.0, 0.0]], [[3.0, 5.0], [4.0, 1.0]])
+    assert counter.count == 2 + 1 + 3          # ball 0; row 0: center 1; row 1: all three
 
 
 def test_encode_table_marks_saturation():
@@ -284,6 +314,41 @@ def test_partition_completeness(seed, n, partition, constant, reduce_factor, buc
                          reduce_factor=reduce_factor, seed=seed)
     tree = build(ds, EUCLID, config)
     assert sorted(subtree_object_ids(tree.root)) == list(range(n))
+
+
+class _PairRecorder(MetricSpace):
+    """Euclidean distance recording the (a, b) object ids of every call;
+    batches take the one-call-per-object default."""
+
+    name = "pairs"
+
+    def __init__(self, dataset):
+        self.ids = {id(obj): i for i, obj in enumerate(dataset)}
+        self.pairs = []
+
+    def distance(self, a, b) -> float:
+        self.pairs.append((self.ids[id(a)], self.ids[id(b)]))
+        return EUCLID.distance(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n=st.integers(1, 60),
+       partition=st.sampled_from(["hyperplane", "ball"]),
+       constant=st.booleans(),
+       reduce_factor=st.sampled_from([1.0, 2.0]),
+       fixed_point=st.booleans())
+def test_build_measures_each_pair_once(seed, n, partition, constant, reduce_factor,
+                                       fixed_point):
+    ds = generate_uniform_vectors(n, 3, seed=seed)
+    recorder = _PairRecorder(ds)
+    config = BuildConfig(arity=ConstantArity(3) if constant else PowerArity(0.5),
+                         partition=partition, reduce_factor=reduce_factor,
+                         fixed_point=FixedPointParams(8, 2, 0.2) if fixed_point else None,
+                         seed=seed)
+    tree = build(ds, recorder, config)
+    assert tree.build_distance_evals == len(recorder.pairs)
+    assert len(set(recorder.pairs)) == len(recorder.pairs)
 
 
 def _assert_table_sound(tree, metric):

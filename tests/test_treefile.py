@@ -1,12 +1,13 @@
 import hashlib
 import struct
+import sys
 
 import pytest
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, EuclideanMetric,
-                    FixedPointParams, PowerArity, RangeQuery, build,
-                    generate_uniform_vectors, gnat_range_search, load_tree, save_tree,
-                    table_entry_count, with_fixed_point)
+                    FixedPointParams, GnatNode, PowerArity, RangeQuery, build,
+                    generate_uniform_vectors, gnat_range_search, iter_nodes, load_tree,
+                    save_tree, table_entry_count, with_fixed_point)
 
 EUCLID = EuclideanMetric()
 
@@ -113,3 +114,100 @@ def test_golden_tree_file_bytes(tmp_path):
         path = tmp_path / f"{name}.gnt"
         save_tree(t, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+def deep_tree_depth(tree):
+    """Internal nodes along the last-child path: a gamma = 0.1 ball tree
+    funnels nearly every object into its last child."""
+    depth, node = 0, tree.root
+    while isinstance(node, GnatNode):
+        depth, node = depth + 1, node.children[-1]
+    return depth
+
+
+def test_deep_tree_round_trip(tmp_path):
+    # deeper than the recursion limit: build, save and load must not recurse
+    ds = generate_uniform_vectors(4000, 3, seed=0)
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(2), partition="ball",
+                                         gamma=0.1, seed=0))
+    assert deep_tree_depth(tree) > sys.getrecursionlimit()
+    a, b = tmp_path / "a.gnt", tmp_path / "b.gnt"
+    save_tree(tree, a)
+    loaded = load_tree(a, ds)
+    assert deep_tree_depth(loaded) == deep_tree_depth(tree)
+    for x, y in zip(iter_nodes(loaded.root), iter_nodes(tree.root), strict=True):
+        assert (x.centers, x.measuring_set, x.table) == (y.centers, y.measuring_set, y.table)
+    save_tree(loaded, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------- structural checks
+
+
+def _saved(tmp_path, config):
+    ds = generate_uniform_vectors(60, 3, seed=1)
+    path = tmp_path / "tree.gnt"
+    save_tree(build(ds, EUCLID, config), path)
+    return ds, path, bytearray(path.read_bytes())
+
+
+def _root_offsets(blob):
+    """Byte offsets of the root record's centers, row count, measuring set
+    and codec byte (header: magic, version, config, object count; the
+    record: kind byte, center count, ...)."""
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    count_at = 12 + config_len + 8 + 1
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    rows_at = count_at + 4 + 4 * count
+    (n_rows,) = struct.unpack_from("<I", blob, rows_at)
+    return count_at + 4, rows_at, rows_at + 4, rows_at + 4 + 4 * n_rows
+
+
+def _assert_rejected(path, ds, blob, match):
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match=match) as err:
+        load_tree(path, ds)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_bad_object_ids(tmp_path):
+    ds, path, blob = _saved(tmp_path, BuildConfig(arity=ConstantArity(4), seed=1))
+    centers_at, _, _, _ = _root_offsets(blob)
+    (second,) = struct.unpack_from("<I", blob, centers_at + 4)
+    # out of range, or an id flipped to another object's: one object twice,
+    # the flipped one never
+    for value, match in [(60, "outside"), (2**32 - 1, "outside"),
+                         (second, "not exactly once")]:
+        edited = bytearray(blob)
+        struct.pack_into("<I", edited, centers_at, value)
+        _assert_rejected(path, ds, edited, match)
+
+
+def test_load_rejects_bad_measuring_sets(tmp_path):
+    config = BuildConfig(arity=ConstantArity(4), reduce_factor=2.0, seed=1)
+    ds, path, blob = _saved(tmp_path, config)
+    _, rows_at, measuring_at, codec_at = _root_offsets(blob)
+    assert struct.unpack_from("<I", blob, rows_at) == (2,)
+    a, b = struct.unpack_from("<II", blob, measuring_at)
+    for pair in [(b, a), (a, a), (a, 4)]:  # descending, repeated, outside [0, 4)
+        edited = bytearray(blob)
+        struct.pack_into("<II", edited, measuring_at, *pair)
+        _assert_rejected(path, ds, edited, "measuring set")
+    # an empty measuring set, with the table rows it sized cut out too
+    table_end = codec_at + 2 + 2 * (2 * 4) * 8  # lo and hi, 2 x 4 float64s each
+    edited = (blob[:rows_at] + struct.pack("<I", 0) + blob[codec_at:codec_at + 2]
+              + blob[table_end:])
+    _assert_rejected(path, ds, edited, "measuring set")
+
+
+def test_load_rejects_codes_above_max_code(tmp_path):
+    params = FixedPointParams(8, 2, 0.2)
+    config = BuildConfig(arity=ConstantArity(4), fixed_point=params, seed=1)
+    ds, path, blob = _saved(tmp_path, config)
+    _, _, _, codec_at = _root_offsets(blob)
+    assert blob[codec_at] == 1
+    for at in (codec_at + 2, codec_at + 2 + 2 * 4 * 4):  # first lo code, first hi code
+        edited = bytearray(blob)
+        struct.pack_into("<H", edited, at, params.max_code + 1)
+        _assert_rejected(path, ds, edited, "exceeds max_code")
+
