@@ -12,6 +12,7 @@ done in the coded domain, codes are decoded back to floats when consulted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,3 +95,17 @@ def decode_lut(params: FixedPointParams) -> np.ndarray:
     """All 2**total_bits decoded values; lets queries decode by lookup."""
     codes = np.arange(params.max_code + 1, dtype=np.float64)
     return (codes / params.scale) ** (1.0 / params.beta)
+
+
+@lru_cache(maxsize=64)
+def decoded_floats(params: FixedPointParams, saturated: bool = False) -> np.ndarray:
+    """decode_lut(params) as an object array of Python floats, so that
+    every table decoded with params shares the same 2**total_bits float
+    objects; with saturated, max_code decodes to +inf."""
+    values = decode_lut(params).tolist()
+    if saturated:
+        values[-1] = math.inf
+    floats = np.empty(len(values), dtype=object)
+    floats[:] = values
+    floats.flags.writeable = False
+    return floats

@@ -20,9 +20,10 @@ variant.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heapreplace
+from itertools import repeat
 
 from .errors import ConfigError
 from .metrics import MetricSpace
@@ -55,304 +56,184 @@ def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
     return e - r > hi or e + r < lo
 
 
-def _scan_bucket(bucket, q, objs, dist, r, results, stats) -> None:
-    ids = bucket.object_ids
-    if not ids:
-        return
-    stats.nodes_visited += 1
-    stats.distance_evals += len(ids)
-    for oid in ids:
-        if dist(q, objs[oid]) <= r:
-            results.add(oid)
+def _search_root(tree: GnatTree):
+    """The root entry of the tree's search records, built on its first
+    query and cached on the tree.
 
-
-def _gnat_range_visit(node, q, objs, dist, r, results, stats) -> None:
-    """Multi-pivot node visit with a fixed radius.
-
-    Each center is untried (status 0), tried (1) or eliminated (2); a
-    center is tried at most once and never eliminated after being tried.
-    lower[pos] is the best known lower bound on the distance from the
-    query to anything stored under that center, accumulated from the
-    tried pivots' rows.  Pivots come from the node's measuring set (every
-    center, unless the tree was built with reduced tables).  The next
-    pivot is the untried, uneliminated one with the smallest accumulated
-    lower bound, lowest position first on ties.  Centers outside the
-    measuring set cannot be tried as pivots; survivors among them are
-    measured directly at the end.  Children of eliminated centers are
-    skipped.
+    An internal node's record is the tuple (centers, measuring, lo_rows,
+    hi_rows, rows, children): the node's center ids and measuring set, its
+    table's decoded_bounds() row lists (the same lists, not copies), rows,
+    which maps a center position to its table row (None for a center
+    without one) when tables are reduced and is None otherwise, and one
+    entry per child.  A child entry is None for an empty bucket, the id of
+    a one-object bucket, the id list of a larger bucket, or the child's
+    record.  Records are built in pre-order, the order the tree was built
+    and is searched in, by an explicit stack, so any depth works.
     """
-    stats.nodes_visited += 1
-    centers = node.centers
-    m = len(centers)
-    lo_rows, hi_rows = node.table.decoded_bounds()
-    measuring = node.measuring_set
-    status = [0] * m
-    lower = [0.0] * m
-    evals = 0
-    inspected = 0
-
-    while True:
-        best_pos = -1
-        best_row = -1
-        best_lb = math.inf
-        for row, pos in enumerate(measuring):
-            if status[pos] == 0 and lower[pos] < best_lb:
-                best_lb = lower[pos]
-                best_pos = pos
-                best_row = row
-        if best_pos < 0:
-            break
-        evals += 1
-        e = dist(q, objs[centers[best_pos]])
-        status[best_pos] = 1
-        if e <= r:
-            results.add(centers[best_pos])
-        lo_row = lo_rows[best_row]
-        hi_row = hi_rows[best_row]
-        e_hi = e - r                      # eliminate when e - r > hi
-        e_lo = e + r                      # eliminate when e + r < lo
-        for j in range(m):
-            if status[j] != 0:
+    if tree.search_root is None:
+        top = [None]
+        stack = [(tree.root, top, 0)]
+        while stack:
+            node, parent, slot = stack.pop()
+            if type(node) is Bucket:
+                ids = node.object_ids
+                parent[slot] = None if not ids else ids[0] if len(ids) == 1 else ids
                 continue
-            inspected += 1
-            hi = hi_row[j]
-            lo = lo_row[j]
-            if e_hi > hi or e_lo < lo:
-                status[j] = 2
-                continue
-            gap = e - hi if e - hi > lo - e else lo - e
-            if gap > lower[j]:
-                lower[j] = gap
-
-    if len(measuring) != m:
-        # reduced tables: centers without a table row are never pivots;
-        # survivors among them are reported by direct measurement
-        for pos in range(m):
-            if status[pos] == 0:
-                evals += 1
-                status[pos] = 1
-                if dist(q, objs[centers[pos]]) <= r:
-                    results.add(centers[pos])
-
-    stats.distance_evals += evals
-    stats.entries_inspected += inspected
-    children = node.children
-    for pos in range(m):
-        if status[pos] == 1:
-            child = children[pos]
-            if type(child) is Bucket:
-                _scan_bucket(child, q, objs, dist, r, results, stats)
-            else:
-                _gnat_range_visit(child, q, objs, dist, r, results, stats)
+            m = len(node.centers)
+            measuring = node.measuring_set
+            rows = None
+            if len(measuring) != m:
+                rows = [None] * m
+                for row, pos in enumerate(measuring):
+                    rows[pos] = row
+            children = [None] * m
+            parent[slot] = (node.centers, measuring, *node.table.decoded_bounds(),
+                            rows, children)
+            # reversed, so that the first child comes off the stack first
+            stack += zip(reversed(node.children), repeat(children), reversed(range(m)))
+        tree.search_root = top[0]
+    return tree.search_root
 
 
-def _egnat_range_visit(node, q, objs, dist, r, results, stats) -> None:
-    """Nearest-pivot node visit: measure every center, then prune children
-    with the single table row of the nearest measured pivot (nearest among
-    the measuring set when tables are reduced; ties to the lowest
-    position)."""
-    stats.nodes_visited += 1
-    centers = node.centers
-    m = len(centers)
-    measured = [dist(q, objs[c]) for c in centers]
-    stats.distance_evals += m
-    for pos in range(m):
-        if measured[pos] <= r:
-            results.add(centers[pos])
-    measuring = node.measuring_set
-    best_row = 0
-    best_e = measured[measuring[0]]
-    for row, pos in enumerate(measuring):
-        if measured[pos] < best_e:
-            best_e = measured[pos]
-            best_row = row
-    lo_rows, hi_rows = node.table.decoded_bounds()
-    lo_row = lo_rows[best_row]
-    hi_row = hi_rows[best_row]
-    e_hi = best_e - r
-    e_lo = best_e + r
-    stats.entries_inspected += m
-    children = node.children
-    for j in range(m):
-        if e_hi > hi_row[j] or e_lo < lo_row[j]:
-            continue
-        child = children[j]
-        if type(child) is Bucket:
-            _scan_bucket(child, q, objs, dist, r, results, stats)
-        else:
-            _egnat_range_visit(child, q, objs, dist, r, results, stats)
+def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
+                  egnat: bool) -> QueryStats:
+    """Range query over the search records, one node per loop turn.
 
+    Multi-pivot visit: a center is open until it is tried as a pivot or
+    eliminated, and a tried center is never eliminated.  lower[pos] is the
+    best known lower bound on the distance from the query to anything
+    stored under center pos, accumulated from the tried pivots' rows.  The
+    first pivot is the first measuring center.  After each pivot one walk
+    over the open centers, in ascending position, eliminates those whose
+    interval misses the query ball, raises the bounds of the rest, and
+    picks the next pivot: the open measuring center with the smallest
+    bound, the lowest position on ties.  Centers outside the measuring set
+    are never pivots; survivors among them are measured directly at the
+    end.
 
-def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace, visit) -> QueryStats:
+    Nearest-pivot visit: measure every center, then prune with the single
+    table row of the nearest measuring center (lowest position on ties).
+
+    Children of surviving centers go on the stack so that they come off
+    it in ascending position; the visit order cannot change a range result
+    or any counter.
+    """
     stats = QueryStats()
-    if type(tree.root) is Bucket:
-        visit = _scan_bucket
-    visit(tree.root, query.obj, tree.dataset.objects, metric.distance, query.radius,
-          stats.results, stats)
+    results = stats.results
+    q, r = query.obj, query.radius
+    objs, dist = tree.dataset.objects, metric.distance
+    evals = visited = inspected = 0
+    root = _search_root(tree)
+    stack = [] if root is None else [root]  # None: a tree over no objects
+    while stack:
+        node = stack.pop()
+        if type(node) is int:
+            visited += 1
+            evals += 1
+            if dist(q, objs[node]) <= r:
+                results.add(node)
+            continue
+        if type(node) is list:
+            visited += 1
+            evals += len(node)
+            for oid in node:
+                if dist(q, objs[oid]) <= r:
+                    results.add(oid)
+            continue
+        visited += 1
+        centers, measuring, lo_rows, hi_rows, rows, children = node
+        m = len(centers)
+        if egnat:
+            evals += m
+            inspected += m
+            measured = []
+            for c in centers:
+                e = dist(q, objs[c])
+                measured.append(e)
+                if e <= r:
+                    results.add(c)
+            if rows is None:
+                best = min(measured)
+                row = measured.index(best)  # the first minimum
+            else:
+                row = 0
+                best = math.inf
+                for i, pos in enumerate(measuring):
+                    if measured[pos] < best:
+                        best = measured[pos]
+                        row = i
+            e_hi = best - r
+            e_lo = best + r
+            lo_row = lo_rows[row]
+            hi_row = hi_rows[row]
+            for j in reversed(range(m)):
+                child = children[j]
+                if child is None or e_hi > hi_row[j] or e_lo < lo_row[j]:
+                    continue
+                stack.append(child)
+            continue
+        lower = [0.0] * m
+        pos = measuring[0]
+        row = 0
+        opened = list(range(m))
+        del opened[pos]
+        tried = []
+        while True:
+            evals += 1
+            c = centers[pos]
+            e = dist(q, objs[c])
+            tried.append(pos)
+            if e <= r:
+                results.add(c)
+            lo_row = lo_rows[row]
+            hi_row = hi_rows[row]
+            e_hi = e - r                      # eliminate when e - r > hi
+            e_lo = e + r                      # eliminate when e + r < lo
+            inspected += len(opened)
+            kept = []
+            nxt = -1
+            best = math.inf
+            for j in opened:
+                hi = hi_row[j]
+                lo = lo_row[j]
+                if e_hi > hi or e_lo < lo:
+                    continue
+                gap = e - hi if e - hi > lo - e else lo - e
+                lb = lower[j]
+                if gap > lb:
+                    lower[j] = lb = gap
+                if lb < best and (rows is None or rows[j] is not None):
+                    best = lb
+                    nxt = len(kept)
+                kept.append(j)
+            opened = kept
+            if nxt < 0:
+                break
+            pos = opened.pop(nxt)
+            row = pos if rows is None else rows[pos]
+        for pos in opened:  # reduced tables: survivors without a table row
+            evals += 1
+            tried.append(pos)
+            if dist(q, objs[centers[pos]]) <= r:
+                results.add(centers[pos])
+        tried.sort(reverse=True)
+        for j in tried:
+            if children[j] is not None:
+                stack.append(children[j])
+    stats.distance_evals = evals
+    stats.nodes_visited = visited
+    stats.entries_inspected = inspected
     return stats
 
 
 def gnat_range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace) -> QueryStats:
     """Exact range query with multi-pivot pruning."""
-    return _range_search(tree, query, metric, _gnat_range_visit)
+    return _range_search(tree, query, metric, False)
 
 
 def egnat_range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace) -> QueryStats:
     """Exact range query with nearest-pivot pruning."""
-    return _range_search(tree, query, metric, _egnat_range_visit)
-
-
-class _KnnHeap:
-    """Size-k max-heap of the best (distance, id) pairs; the current k-th
-    best distance is the effective search radius (infinite until full).
-    Ties at equal distance keep the lower object id."""
-
-    __slots__ = ("k", "heap")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.heap: list[tuple[float, int]] = []  # (-distance, -oid)
-
-    def offer(self, oid: int, d: float) -> None:
-        item = (-d, -oid)
-        if len(self.heap) < self.k:
-            heapq.heappush(self.heap, item)
-        elif item > self.heap[0]:
-            heapq.heapreplace(self.heap, item)
-
-    def radius(self) -> float:
-        return -self.heap[0][0] if len(self.heap) == self.k else math.inf
-
-    def ranked(self) -> list[tuple[int, float]]:
-        ordered = sorted((-d, -oid) for d, oid in self.heap)
-        return [(oid, d) for d, oid in ordered]
-
-
-def _knn_scan_bucket(bucket, q, objs, dist, best, stats) -> None:
-    if not bucket.object_ids:
-        return
-    stats.nodes_visited += 1
-    for oid in bucket.object_ids:
-        stats.distance_evals += 1
-        best.offer(oid, dist(q, objs[oid]))
-
-
-def _gnat_knn_visit(node, q, objs, dist, best, stats) -> None:
-    """Multi-pivot visit under a shrinking radius.
-
-    Same pivot policy as the range visit, re-reading the heap radius at
-    every decision point; children of surviving centers are entered in
-    ascending order of their accumulated lower bound and re-checked
-    against the radius on entry.
-    """
-    if type(node) is Bucket:
-        _knn_scan_bucket(node, q, objs, dist, best, stats)
-        return
-    stats.nodes_visited += 1
-    centers = node.centers
-    m = len(centers)
-    lo_rows, hi_rows = node.table.decoded_bounds()
-    measuring = node.measuring_set
-    status = [0] * m
-    lower = [0.0] * m
-
-    while True:
-        r = best.radius()
-        best_pos = -1
-        best_row = -1
-        best_lb = math.inf
-        for row, pos in enumerate(measuring):
-            if status[pos] != 0:
-                continue
-            lb = lower[pos]
-            if lb > r:
-                # the radius shrank since this bound was accumulated
-                status[pos] = 2
-                continue
-            if lb < best_lb:
-                best_lb = lb
-                best_pos = pos
-                best_row = row
-        if best_pos < 0:
-            break
-        stats.distance_evals += 1
-        e = dist(q, objs[centers[best_pos]])
-        status[best_pos] = 1
-        best.offer(centers[best_pos], e)
-        r = best.radius()
-        lo_row = lo_rows[best_row]
-        hi_row = hi_rows[best_row]
-        for j in range(m):
-            if status[j] != 0:
-                continue
-            stats.entries_inspected += 1
-            lo = lo_row[j]
-            hi = hi_row[j]
-            if e - r > hi or e + r < lo:
-                status[j] = 2
-                continue
-            gap = e - hi if e - hi > lo - e else lo - e
-            if gap > lower[j]:
-                lower[j] = gap
-
-    if len(measuring) != m:
-        for pos in range(m):
-            if status[pos] != 0:
-                continue
-            if lower[pos] > best.radius():
-                status[pos] = 2
-                continue
-            stats.distance_evals += 1
-            e = dist(q, objs[centers[pos]])
-            status[pos] = 1
-            best.offer(centers[pos], e)
-
-    order = sorted((lower[pos], pos) for pos in range(m) if status[pos] == 1)
-    for lb, pos in order:
-        if lb > best.radius():
-            continue
-        _gnat_knn_visit(node.children[pos], q, objs, dist, best, stats)
-
-
-def _egnat_knn_visit(node, q, objs, dist, best, stats) -> None:
-    """Nearest-pivot visit under a shrinking radius."""
-    if type(node) is Bucket:
-        _knn_scan_bucket(node, q, objs, dist, best, stats)
-        return
-    stats.nodes_visited += 1
-    centers = node.centers
-    m = len(centers)
-    measured = []
-    for pos in range(m):
-        stats.distance_evals += 1
-        e = dist(q, objs[centers[pos]])
-        best.offer(centers[pos], e)
-        measured.append(e)
-    measuring = node.measuring_set
-    best_row = 0
-    best_e = measured[measuring[0]]
-    for row, pos in enumerate(measuring):
-        if measured[pos] < best_e:
-            best_e = measured[pos]
-            best_row = row
-    lo_rows, hi_rows = node.table.decoded_bounds()
-    lo_row = lo_rows[best_row]
-    hi_row = hi_rows[best_row]
-    r = best.radius()
-    survivors = []
-    for j in range(m):
-        stats.entries_inspected += 1
-        lo = lo_row[j]
-        hi = hi_row[j]
-        if best_e - r > hi or best_e + r < lo:
-            continue
-        gap = best_e - hi if best_e - hi > lo - best_e else lo - best_e
-        survivors.append((gap if gap > 0.0 else 0.0, j))
-    survivors.sort()
-    for lb, j in survivors:
-        if lb > best.radius():
-            continue
-        _egnat_knn_visit(node.children[j], q, objs, dist, best, stats)
+    return _range_search(tree, query, metric, True)
 
 
 def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
@@ -360,16 +241,142 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     """The k nearest objects to obj, ascending by (distance, object id).
 
     Returns the ranked list and the stats of the underlying shrinking-
-    radius range search.
+    radius range search.  The node visits are those of the range search
+    under the current radius: the multi-pivot visit also drops an open
+    measuring center whose bound exceeds the radius, and re-checks the
+    radius before each untried center of a reduced table.  Surviving
+    children are entered in ascending (lower bound, position) order and
+    skipped when their bound exceeds the radius by then.
+
+    The best candidates sit in a size-k heap of (-distance, -id); it starts
+    with k sentinels that every candidate beats, so the radius, the k-th
+    best distance, is infinite until k objects were offered.  Ties at
+    equal distance keep the lower id.
     """
     if not 1 <= k <= tree.size:
         raise ConfigError(f"k must be in [1, {tree.size}], got {k}")
     if mode not in ("gnat", "egnat"):
         raise ConfigError(f"unknown search mode {mode!r}")
+    egnat = mode == "egnat"
     stats = QueryStats()
-    best = _KnnHeap(k)
-    visit = _gnat_knn_visit if mode == "gnat" else _egnat_knn_visit
-    visit(tree.root, obj, tree.dataset.objects, metric.distance, best, stats)
-    ranked = best.ranked()
+    q = obj
+    objs, dist = tree.dataset.objects, metric.distance
+    heap = [(-math.inf, -math.inf)] * k   # below every (-d, -id), even d = inf
+    radius = math.inf
+    evals = visited = inspected = 0
+    stack = [(0.0, _search_root(tree))]
+    while stack:
+        lb, node = stack.pop()
+        if lb > radius:
+            continue
+        visited += 1
+        if type(node) is int:
+            evals += 1
+            d = dist(q, objs[node])
+            if d <= radius and (item := (-d, -node)) > heap[0]:
+                heapreplace(heap, item)
+                radius = -heap[0][0]
+            continue
+        if type(node) is list:
+            evals += len(node)
+            for oid in node:
+                d = dist(q, objs[oid])
+                if d <= radius and (item := (-d, -oid)) > heap[0]:
+                    heapreplace(heap, item)
+                    radius = -heap[0][0]
+            continue
+        centers, measuring, lo_rows, hi_rows, rows, children = node
+        m = len(centers)
+        if egnat:
+            evals += m
+            inspected += m
+            measured = []
+            for c in centers:
+                d = dist(q, objs[c])
+                measured.append(d)
+                if d <= radius and (item := (-d, -c)) > heap[0]:
+                    heapreplace(heap, item)
+                    radius = -heap[0][0]
+            if rows is None:
+                e = min(measured)
+                row = measured.index(e)  # the first minimum
+            else:
+                row = 0
+                e = math.inf
+                for i, pos in enumerate(measuring):
+                    if measured[pos] < e:
+                        e = measured[pos]
+                        row = i
+            e_hi = e - radius
+            e_lo = e + radius
+            survivors = []
+            for j, (lo, hi) in enumerate(zip(lo_rows[row], hi_rows[row])):
+                if e_hi > hi or e_lo < lo:
+                    continue
+                gap = e - hi if e - hi > lo - e else lo - e
+                survivors.append((gap if gap > 0.0 else 0.0, j))
+        else:
+            lower = [0.0] * m
+            pos = measuring[0]
+            row = 0
+            opened = list(range(m))
+            del opened[pos]
+            tried = []
+            while True:
+                evals += 1
+                c = centers[pos]
+                e = dist(q, objs[c])
+                tried.append((lower[pos], pos))
+                if e <= radius and (item := (-e, -c)) > heap[0]:
+                    heapreplace(heap, item)
+                    radius = -heap[0][0]
+                lo_row = lo_rows[row]
+                hi_row = hi_rows[row]
+                e_hi = e - radius
+                e_lo = e + radius
+                inspected += len(opened)
+                kept = []
+                nxt = -1
+                best = math.inf
+                for j in opened:
+                    hi = hi_row[j]
+                    lo = lo_row[j]
+                    if e_hi > hi or e_lo < lo:
+                        continue
+                    gap = e - hi if e - hi > lo - e else lo - e
+                    lb = lower[j]
+                    if gap > lb:
+                        lower[j] = lb = gap
+                    if rows is None or rows[j] is not None:
+                        if lb > radius:
+                            continue
+                        if lb < best:
+                            best = lb
+                            nxt = len(kept)
+                    kept.append(j)
+                opened = kept
+                if nxt < 0:
+                    break
+                pos = opened.pop(nxt)
+                row = pos if rows is None else rows[pos]
+            for pos in opened:  # reduced tables: open centers without a row
+                if lower[pos] > radius:
+                    continue
+                evals += 1
+                c = centers[pos]
+                e = dist(q, objs[c])
+                tried.append((lower[pos], pos))
+                if e <= radius and (item := (-e, -c)) > heap[0]:
+                    heapreplace(heap, item)
+                    radius = -heap[0][0]
+            survivors = tried
+        survivors.sort(reverse=True)
+        for lb, j in survivors:
+            if children[j] is not None:
+                stack.append((lb, children[j]))
+    ranked = [(-oid, -d) for d, oid in sorted(heap, reverse=True)]
     stats.results = {oid for oid, _ in ranked}
+    stats.distance_evals = evals
+    stats.nodes_visited = visited
+    stats.entries_inspected = inspected
     return ranked, stats

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 
 import numpy as np
 
 from .datasets import Dataset, rng_stream
 from .errors import ConfigError
-from .fixedpoint import FixedPointParams, decode_lut, encode_interval
+from .fixedpoint import FixedPointParams, decode_lut, decoded_floats, encode_interval
 from .metrics import DistanceCounter, MetricSpace
 
 
@@ -114,16 +114,16 @@ class RangeTable:
         return 4.0 if self.fixed_point is None else self.fixed_point.value_bytes
 
     def decoded_bounds(self) -> tuple[list, list]:
-        """Bounds as row lists of floats, decoding fixed-point codes once."""
+        """Bounds as row lists of floats, decoding fixed-point codes once.
+
+        The search records of gnatty.search hold these very lists."""
         if self._decoded is None:
             if self.fixed_point is None:
                 self._decoded = (self.lo.tolist(), self.hi.tolist())
             else:
-                lut = decode_lut(self.fixed_point)
-                lo = lut[self.lo]
-                hi = lut[self.hi]
-                if self.hi_saturated:
-                    hi = np.where(self.hi == self.fixed_point.max_code, np.inf, hi)
+                # every entry is one of the 2**b shared floats of its code
+                lo = decoded_floats(self.fixed_point)[self.lo]
+                hi = decoded_floats(self.fixed_point, self.hi_saturated)[self.hi]
                 self._decoded = (lo.tolist(), hi.tolist())
         return self._decoded
 
@@ -160,6 +160,9 @@ class GnatTree:
     dataset: Dataset
     size: int
     build_distance_evals: int = 0
+    # gnatty.search's per-node records, built on the first query; a tree
+    # is not modified after it is built
+    search_root: object = field(default=None, init=False, compare=False, repr=False)
 
 
 def arity_for(node_size: int, policy: ArityPolicy) -> int:
@@ -427,15 +430,19 @@ def with_fixed_point(tree: GnatTree, params: FixedPointParams) -> GnatTree:
     """
     if tree.config.fixed_point is not None:
         raise ConfigError("tree tables are already fixed-point encoded")
-
-    def convert(node):
+    top = [None]
+    stack = [(tree.root, top, 0)]  # pre-order, as _build_node, at any depth
+    while stack:
+        node, siblings, slot = stack.pop()
         if isinstance(node, Bucket):
-            return Bucket(list(node.object_ids))
-        return GnatNode(list(node.centers), encode_table(node.table, params),
-                        [convert(child) for child in node.children],
-                        list(node.measuring_set))
-
-    return GnatTree(convert(tree.root), dataclasses.replace(tree.config, fixed_point=params),
+            siblings[slot] = Bucket(list(node.object_ids))
+            continue
+        twin = GnatNode(list(node.centers), encode_table(node.table, params),
+                        [None] * len(node.children), list(node.measuring_set))
+        siblings[slot] = twin
+        stack.extend((node.children[j], twin.children, j)
+                     for j in reversed(range(len(node.children))))
+    return GnatTree(top[0], dataclasses.replace(tree.config, fixed_point=params),
                     tree.dataset, tree.size, tree.build_distance_evals)
 
 

@@ -35,6 +35,15 @@ def test_build_and_save_deep_tree(tmp_path):
     assert depth > sys.getrecursionlimit()
 
 
+def test_query_deep_tree():
+    # the tree of test_build_and_save_deep_tree, searched by both
+    # disciplines, exact and fixed-point
+    assert cli.main(["query", "--n", "4010", "--dim", "3", "--queries", "10", "--seed", "0",
+                     "--index", "gnat", "--arity-const", "2", "--partition", "ball",
+                     "--gamma", "0.1", "--codec", "exact", "fp", "--search", "gnat", "egnat",
+                     "--target-k", "5"]) == 0
+
+
 def test_save_tree_rejects_multiple_variants(tmp_path):
     code = cli.main(["build", *SMALL, "--index", "gnatty", "--alpha", "0.3", "0.5",
                      "--save-tree", str(tmp_path / "t.gnt")])

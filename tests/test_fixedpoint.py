@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gnatty import (ConfigError, FixedPointParams, RangeTable, decode_code, encode_interval,
                     encode_table, params_for_integer_range)
-from gnatty.fixedpoint import decode_lut
+from gnatty.fixedpoint import decode_lut, decoded_floats
 
 Q28 = FixedPointParams(total_bits=8, magnitude_bits=2, beta=1 / 5)
 
@@ -81,14 +81,17 @@ def test_params_for_integer_range():
     assert decode_code(lo, params) == 12.0
 
 
-@pytest.mark.parametrize("params", [
+LAYOUTS = [
     Q28,
     FixedPointParams(total_bits=8, magnitude_bits=2, beta=0.5),
     FixedPointParams(total_bits=8, magnitude_bits=3, beta=1.0),
     FixedPointParams(total_bits=8, magnitude_bits=8, beta=1 / 3),
     FixedPointParams(total_bits=4, magnitude_bits=1, beta=0.7),
     FixedPointParams(total_bits=12, magnitude_bits=4, beta=0.2),
-])
+]
+
+
+@pytest.mark.parametrize("params", LAYOUTS)
 def test_every_code_boundary_rounds_outward(params):
     # each code's decoded value and the two ulps on either side of it: the
     # spots where a code one step on the wrong side would show
@@ -115,3 +118,29 @@ def test_every_code_boundary_rounds_outward(params):
             assert table.hi_saturated
     fits = xs[xs < lut[-1]][None, :]
     assert not encode_table(RangeTable(fits, fits), params).hi_saturated
+
+
+@pytest.mark.parametrize("params", LAYOUTS)
+def test_decoded_bounds_match_numpy_decode(params):
+    # the decoded rows are made from shared Python floats; they must equal
+    # the numpy decode, +inf for saturated hi codes, bit for bit
+    lut = decode_lut(params)
+    rng = np.random.default_rng(params.total_bits)
+    top = float(lut[-1])
+    for scale in (top / 4, top * 2):  # the second one saturates
+        lo = rng.uniform(0.0, scale, size=(3, 7))
+        hi = lo + rng.uniform(0.0, scale, size=(3, 7))
+        table = encode_table(RangeTable(lo, hi), params)
+        assert table.hi_saturated == (scale > top)
+        expected_hi = lut[table.hi]
+        if table.hi_saturated:
+            expected_hi = np.where(table.hi == params.max_code, np.inf, expected_hi)
+        got_lo, got_hi = table.decoded_bounds()
+        assert got_lo == lut[table.lo].tolist()
+        assert got_hi == expected_hi.tolist()
+        assert all(type(x) is float for row in got_lo + got_hi for x in row)
+        assert got_lo[0][0] is decoded_floats(params)[table.lo[0, 0]]
+        assert [x.hex() for row in got_hi for x in row] == \
+            [x.hex() for x in expected_hi.ravel().tolist()]
+    assert decoded_floats(params) is decoded_floats(params)
+    assert decoded_floats(params, True)[-1] == math.inf

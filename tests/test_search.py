@@ -1,12 +1,17 @@
+import hashlib
+import itertools
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnatty import (BuildConfig, ConfigError, ConstantArity, EuclideanMetric,
-                    FixedPointParams, PowerArity, RangeQuery, build,
+from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, EuclideanMetric,
+                    FixedPointParams, GnatTree, PowerArity, QueryStats, RangeQuery, build,
                     egnat_range_search, generate_uniform_vectors, gnat_range_search,
-                    iter_nodes, knn_search, prune_check, subtree_object_ids,
-                    with_fixed_point)
+                    iter_nodes, knn_search, prune_check, split_queries,
+                    subtree_object_ids, with_fixed_point)
 from gnatty.bench import calibrate_radius, linear_scan_knn, linear_scan_range
 
 EUCLID = EuclideanMetric()
@@ -125,8 +130,6 @@ def test_fixed_point_same_results_more_evals(small_world):
 def test_saturated_tables_stay_exact():
     # distances way beyond the representable fixed-point range: upper
     # bounds saturate and must stop pruning instead of lying
-    from gnatty import Dataset, iter_nodes
-
     base = generate_uniform_vectors(300, 4, seed=1)
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     tree = build(big, EUCLID, BuildConfig(arity=PowerArity(0.5),
@@ -171,6 +174,14 @@ def test_reduced_tables_report_unmeasured_centers():
                 linear_scan_range(ds, q, 0.3, EUCLID)
 
 
+def test_range_search_on_a_tree_over_no_objects():
+    # load_tree accepts a file of an empty tree; a range search finds nothing
+    config = BuildConfig(arity=ConstantArity(2))
+    tree = GnatTree(Bucket([]), config, Dataset([]), 0)
+    for search in (gnat_range_search, egnat_range_search):
+        assert search(tree, RangeQuery((0.0,), 1.0), EUCLID) == QueryStats()
+
+
 # ---------------------------------------------------------------- kNN
 
 
@@ -207,10 +218,72 @@ def test_knn_matches_bruteforce(small_world, mode):
 
 
 def test_knn_tie_prefers_lower_id():
-    from gnatty import Dataset
-
     ds = Dataset([(0.0,), (1.0,), (-1.0,), (2.0,)])
     tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(2), seed=0))
     ranked, _ = knn_search(tree, (0.0,), 2, EUCLID)
     # objects 1 and 2 are both at distance 1; the lower id wins
     assert ranked == [(0, 0.0), (1, 1.0)]
+
+
+def test_deep_tree_searches_and_converts():
+    # two-center balls with gamma = 0.1 nest deeper than the recursion limit
+    queries, database = split_queries(generate_uniform_vectors(4010, 3, seed=0), 10, 0)
+    tree = build(database, EUCLID, BuildConfig(arity=ConstantArity(2), partition="ball",
+                                               gamma=0.1, seed=0))
+    node, depth = tree.root, 0
+    while not isinstance(node, Bucket):
+        node, depth = node.children[-1], depth + 1
+    assert depth > sys.getrecursionlimit()
+    twin = with_fixed_point(tree, FixedPointParams(8, 2, 0.2))
+    assert [n.centers for n in iter_nodes(twin.root)] == [n.centers for n in iter_nodes(tree.root)]
+    for q in queries[:3]:
+        r = calibrate_radius(database, EUCLID, q, 10)
+        expected = linear_scan_range(database, q, r, EUCLID)
+        nearest = linear_scan_knn(database, q, 10, EUCLID)
+        for t in (tree, twin):
+            for search in (gnat_range_search, egnat_range_search):
+                assert search(t, RangeQuery(q, r), EUCLID).results == expected
+            for mode in ("gnat", "egnat"):
+                assert knn_search(t, q, 10, EUCLID, mode)[0] == nearest
+
+
+# ---------------------------------------------------------------- golden
+
+
+def _golden_datasets():
+    """Uniform points, and grid points whose distances tie everywhere."""
+    rng = np.random.default_rng(5)
+    grid = [tuple(float(c) for c in row) for row in rng.integers(0, 4, size=(130, 3))]
+    return [("uniform", generate_uniform_vectors(130, 3, seed=4)),
+            ("grid", Dataset(grid))]
+
+
+def test_per_query_golden_counters():
+    # Every query's counters and answers over a grid of tree variants,
+    # pinned: test_sweep_golden_counters pins only per-variant sums, which
+    # a change moving work from one query to another still passes.  Change
+    # the hash only with a change that says openly that it alters the
+    # search algorithm.
+    digest = hashlib.sha256()
+    for name, data in _golden_datasets():
+        queries, database = split_queries(data, 8, 0)
+        radii = [calibrate_radius(database, EUCLID, q, 5) for q in queries]
+        for partition, arity, reduce_factor, fp, bucket in itertools.product(
+                ("ball", "hyperplane"), (ConstantArity(3), PowerArity(0.5)), (1.0, 2.0),
+                (None, FixedPointParams(8, 2, 0.2)), (0, 3)):
+            tree = build(database, EUCLID, BuildConfig(
+                arity=arity, partition=partition, reduce_factor=reduce_factor,
+                fixed_point=fp, bucket_size=bucket, seed=0))
+            for i, (q, r) in enumerate(zip(queries, radii)):
+                line = [name, tree.config, i]
+                for search in (gnat_range_search, egnat_range_search):
+                    stats = search(tree, RangeQuery(q, r), EUCLID)
+                    line.append((stats.distance_evals, stats.nodes_visited,
+                                 stats.entries_inspected, sorted(stats.results)))
+                for mode, k in itertools.product(("gnat", "egnat"), (1, 5)):
+                    ranked, stats = knn_search(tree, q, k, EUCLID, mode)
+                    line.append((stats.distance_evals, stats.nodes_visited,
+                                 stats.entries_inspected, ranked))
+                digest.update(f"{line!r}\n".encode())
+    assert digest.hexdigest() == (
+        "e0c0a335a9e3504ea40630788e3fc70e0d1ca2bbef170684a6ba7e91193d16ca")
