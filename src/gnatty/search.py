@@ -152,16 +152,12 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 measured.append(e)
                 if e <= r:
                     results.add(c)
-            if rows is None:
-                best = min(measured)
-                row = measured.index(best)  # the first minimum
-            else:
-                row = 0
-                best = math.inf
-                for i, pos in enumerate(measuring):
-                    if measured[pos] < best:
-                        best = measured[pos]
-                        row = i
+            row = 0
+            best = math.inf
+            for i, pos in enumerate(measuring):  # the first minimum
+                if measured[pos] < best:
+                    best = measured[pos]
+                    row = i
             e_hi = best - r
             e_lo = best + r
             lo_row = lo_rows[row]
@@ -297,16 +293,12 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 if d <= radius and (item := (-d, -c)) > heap[0]:
                     heapreplace(heap, item)
                     radius = -heap[0][0]
-            if rows is None:
-                e = min(measured)
-                row = measured.index(e)  # the first minimum
-            else:
-                row = 0
-                e = math.inf
-                for i, pos in enumerate(measuring):
-                    if measured[pos] < e:
-                        e = measured[pos]
-                        row = i
+            row = 0
+            e = math.inf
+            for i, pos in enumerate(measuring):  # the first minimum
+                if measured[pos] < e:
+                    e = measured[pos]
+                    row = i
             e_hi = e - radius
             e_lo = e + radius
             survivors = []

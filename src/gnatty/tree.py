@@ -140,13 +140,18 @@ class RangeTable:
 
 @dataclass
 class Bucket:
-    """Leaf holding raw object ids, scanned linearly at query time."""
+    """Leaf holding raw object ids, scanned linearly at query time.
+
+    Nodes are not modified once built: a tree's search records share
+    their lists (see ``GnatTree.search_root``)."""
 
     object_ids: list[int]
 
 
 @dataclass
 class GnatNode:
+    """Internal node; like ``Bucket``, not modified once built."""
+
     centers: list[int]          # object ids, ascending
     table: RangeTable
     children: list              # GnatNode | Bucket, one per center
