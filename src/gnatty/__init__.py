@@ -16,7 +16,7 @@ from .fixedpoint import (FixedPointParams, decode_code, encode_interval,
 from .metrics import (DistanceCounter, EditDistanceMetric, EuclideanMetric,
                       MetricSpace, edit_distance, metric_by_name)
 from .search import (QueryStats, RangeQuery, egnat_range_search, gnat_range_search,
-                     knn_search, prune_check)
+                     knn_search)
 from .tree import (Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree, PowerArity,
                    RangeTable, arity_for, ball_partition, build, compute_range_table,
                    encode_table, hyperplane_partition, iter_nodes, select_pivots,

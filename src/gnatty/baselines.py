@@ -16,47 +16,38 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError
 from .metrics import DistanceCounter, MetricSpace
-from .search import QueryStats, RangeQuery
+from .search import FLOAT_MAX, QueryStats, RangeQuery
 from .tree import nearest_first
 
 
 class AesaMatrix:
     """Half of the symmetric n x n distance matrix in condensed layout:
-    entry (i, j) with i < j sits at i*n - i*(i+1)/2 + (j-i-1)."""
+    entry (i, j) with i < j sits at offsets[i] + j, where offsets[i] is
+    i*n - i*(i+1)/2 - i - 1."""
 
-    __slots__ = ("n", "entries", "build_distance_evals")
+    __slots__ = ("n", "entries", "offsets", "build_distance_evals")
 
     def __init__(self, n: int, entries: np.ndarray, build_distance_evals: int = 0):
         self.n = n
         self.entries = entries
+        i = np.arange(n)
+        self.offsets = i * n - i * (i + 1) // 2 - i - 1
         self.build_distance_evals = build_distance_evals
-
-    def _offset(self, i: int) -> int:
-        return i * self.n - i * (i + 1) // 2
-
-    def lookup(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self.entries[self._offset(i) + (j - i - 1)])
 
     def row(self, u: int) -> np.ndarray:
         """Distances from object u to all objects (row[u] = 0)."""
         n = self.n
         out = np.empty(n, dtype=np.float64)
         out[u] = 0.0
-        if u + 1 < n:
-            start = self._offset(u)
-            out[u + 1:] = self.entries[start:start + (n - u - 1)]
-        if u > 0:
-            i = np.arange(u)
-            out[:u] = self.entries[i * n - i * (i + 1) // 2 + (u - i - 1)]
+        start = self.offsets[u]
+        out[u + 1:] = self.entries[start + u + 1:start + n]
+        out[:u] = self.entries[self.offsets[:u] + u]
         return out
 
 
 def aesa_build(dataset: Dataset, metric: MetricSpace) -> AesaMatrix:
-    """Precompute all n(n-1)/2 pairwise distances, one batched row at a time."""
+    """Precompute all n(n-1)/2 pairwise distances, one batched row at a time;
+    a distance that overflowed to inf is stored as FLOAT_MAX."""
     n = len(dataset)
     objs = dataset.objects
     counter = DistanceCounter(metric)
@@ -65,6 +56,7 @@ def aesa_build(dataset: Dataset, metric: MetricSpace) -> AesaMatrix:
     for i in range(n - 1):
         entries[pos:pos + n - i - 1] = counter.distances(objs[i], objs[i + 1:])
         pos += n - i - 1
+    np.minimum(entries, FLOAT_MAX, out=entries)  # as the tree search treats overflow
     return AesaMatrix(n, entries, counter.count)
 
 
@@ -72,11 +64,12 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
                       metric: MetricSpace) -> QueryStats:
     """Exact range query by iterated pivot elimination.
 
-    The first pivot is object 0; afterwards the surviving object with the
-    smallest accumulated lower bound max_p |e_p - d(u, p)| is measured
-    next (lowest index on ties).  Each round eliminates every survivor
-    whose stored distance to the pivot falls outside [e - r, e + r], one
-    linear pass over the matrix row.
+    The candidates are the surviving object ids, ascending, with their
+    accumulated lower bounds max_p |e_p - d(u, p)|.  The first pivot is
+    object 0; afterwards the candidate with the smallest bound is measured
+    next (the first minimum, so the lowest id on ties).  Each round gathers
+    the stored distances from the pivot to the other candidates only, and
+    eliminates those whose distance falls outside [e - r, e + r].
     """
     n = matrix.n
     if n != len(dataset):
@@ -84,22 +77,30 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
     stats = QueryStats()
     q, r = query.obj, query.radius
     dist = metric.distance
-    alive = np.ones(n, dtype=bool)
+    entries, offsets = matrix.entries, matrix.offsets
+    ids = np.arange(n)
     lower = np.zeros(n, dtype=np.float64)
-    while alive.any():
-        pivot = int(np.argmin(np.where(alive, lower, np.inf)))
+    while ids.size:
+        k = int(np.argmin(lower))
+        pivot = int(ids[k])
         stats.distance_evals += 1
         e = dist(q, dataset[pivot])
-        alive[pivot] = False
         if e <= r:
             stats.results.add(pivot)
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        if e > FLOAT_MAX:
+            e = FLOAT_MAX
+        if ids.size == 1:
             break
-        stats.entries_inspected += int(idx.size)
-        diffs = np.abs(e - matrix.row(pivot)[idx])
-        alive[idx[diffs > r]] = False
-        lower[idx] = np.maximum(lower[idx], diffs)
+        ids = np.delete(ids, k)
+        lower = np.delete(lower, k)
+        stats.entries_inspected += ids.size
+        # ids[:k] lie below the pivot, entries (u, pivot); ids[k:] above it
+        stored = np.concatenate((entries[offsets[ids[:k]] + pivot],
+                                 entries[offsets[pivot] + ids[k:]]))
+        diffs = np.abs(e - stored)
+        kept = ~(diffs > r)  # a comparison with NaN eliminates nothing
+        ids = ids[kept]
+        lower = np.maximum(lower[kept], diffs[kept])
     return stats
 
 

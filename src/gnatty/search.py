@@ -4,7 +4,9 @@ Two search disciplines share the same trees and tables:
 
 * the multi-pivot discipline tries pivots one at a time inside a node,
   eliminating not-yet-tried centers whose table interval misses the query
-  ball, until every surviving center has been tried;
+  ball, until every surviving center has been tried; a tried pivot's own
+  child is entered only when its own column, [0, covering radius], meets
+  the query ball;
 * the nearest-pivot discipline measures every center of a node, then
   prunes children using only the table row of the center nearest to the
   query.  Cheaper bookkeeping, usually more distance evaluations.
@@ -21,6 +23,7 @@ variant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from heapq import heapreplace
 from itertools import repeat
@@ -28,6 +31,12 @@ from itertools import repeat
 from .errors import ConfigError
 from .metrics import MetricSpace
 from .tree import Bucket, GnatTree
+
+# A distance that overflowed to inf is only known to exceed the largest
+# float.  Pruning uses that float in its place, for measured distances and
+# table lower bounds alike: the bounds then hold for the metric
+# min(d, FLOAT_MAX), whose query balls contain those of d.
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -50,19 +59,14 @@ class QueryStats:
     entries_inspected: int = 0
 
 
-def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
-    """True when a child with table interval [lo, hi] can be eliminated,
-    i.e. the closed intervals [e - r, e + r] and [lo, hi] do not intersect."""
-    return e - r > hi or e + r < lo
-
-
 def _search_root(tree: GnatTree):
     """The root entry of the tree's search records, built on its first
     query and cached on the tree.
 
     An internal node's record is the tuple (centers, measuring, lo_rows,
     hi_rows, rows, children): the node's center ids and measuring set, its
-    table's decoded_bounds() row lists (the same lists, not copies), rows,
+    table's decoded_bounds() row lists (the same lists, not copies, except
+    that lower bounds are copied with inf made FLOAT_MAX where any is), rows,
     which maps a center position to its table row (None for a center
     without one) when tables are reduced and is None otherwise, and one
     entry per child.  A child entry is None for an empty bucket, the id of
@@ -79,7 +83,8 @@ def _search_root(tree: GnatTree):
                 ids = node.object_ids
                 parent[slot] = None if not ids else ids[0] if len(ids) == 1 else ids
                 continue
-            m = len(node.centers)
+            centers = node.centers
+            m = len(centers)
             measuring = node.measuring_set
             rows = None
             if len(measuring) != m:
@@ -87,8 +92,10 @@ def _search_root(tree: GnatTree):
                 for row, pos in enumerate(measuring):
                     rows[pos] = row
             children = [None] * m
-            parent[slot] = (node.centers, measuring, *node.table.decoded_bounds(),
-                            rows, children)
+            lo_rows, hi_rows = node.table.decoded_bounds()
+            if any(math.inf in lo_row for lo_row in lo_rows):
+                lo_rows = [[min(lo, FLOAT_MAX) for lo in lo_row] for lo_row in lo_rows]
+            parent[slot] = (centers, measuring, lo_rows, hi_rows, rows, children)
             # reversed, so that the first child comes off the stack first
             stack += zip(reversed(node.children), repeat(children), reversed(range(m)))
         tree.search_root = top[0]
@@ -100,16 +107,18 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
     """Range query over the search records, one node per loop turn.
 
     Multi-pivot visit: a center is open until it is tried as a pivot or
-    eliminated, and a tried center is never eliminated.  lower[pos] is the
-    best known lower bound on the distance from the query to anything
-    stored under center pos, accumulated from the tried pivots' rows.  The
-    first pivot is the first measuring center.  After each pivot one walk
-    over the open centers, in ascending position, eliminates those whose
-    interval misses the query ball, raises the bounds of the rest, and
-    picks the next pivot: the open measuring center with the smallest
-    bound, the lowest position on ties.  Centers outside the measuring set
-    are never pivots; survivors among them are measured directly at the
-    end.
+    eliminated.  lower[pos] is the best known lower bound on the distance
+    from the query to anything stored under center pos, accumulated from
+    the tried pivots' rows.  The first pivot is the first measuring
+    center.  After each pivot is measured, its own column (one entry,
+    tested only when its child is not empty) decides whether its child is
+    entered; a tried center is not tested again against later pivots'
+    rows.  Then one walk over the open centers, in ascending position,
+    eliminates those whose interval misses the query ball, raises the
+    bounds of the rest, and picks the next pivot: the open measuring
+    center with the smallest bound, the lowest position on ties.  Centers
+    outside the measuring set are never pivots; survivors among them are
+    measured directly at the end, and their children are entered.
 
     Nearest-pivot visit: measure every center, then prune with the single
     table row of the nearest measuring center (lowest position on ties).
@@ -158,6 +167,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 if measured[pos] < best:
                     best = measured[pos]
                     row = i
+            if best > FLOAT_MAX:
+                best = FLOAT_MAX
             e_hi = best - r
             e_lo = best + r
             lo_row = lo_rows[row]
@@ -173,18 +184,23 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
         row = 0
         opened = list(range(m))
         del opened[pos]
-        tried = []
+        entered = []
         while True:
             evals += 1
             c = centers[pos]
             e = dist(q, objs[c])
-            tried.append(pos)
             if e <= r:
                 results.add(c)
+            if e > FLOAT_MAX:
+                e = FLOAT_MAX
             lo_row = lo_rows[row]
             hi_row = hi_rows[row]
             e_hi = e - r                      # eliminate when e - r > hi
             e_lo = e + r                      # eliminate when e + r < lo
+            if children[pos] is not None:     # the pivot's own column
+                inspected += 1
+                if not (e_hi > hi_row[pos] or e_lo < lo_row[pos]):
+                    entered.append(pos)
             inspected += len(opened)
             kept = []
             nxt = -1
@@ -209,11 +225,11 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             row = pos if rows is None else rows[pos]
         for pos in opened:  # reduced tables: survivors without a table row
             evals += 1
-            tried.append(pos)
+            entered.append(pos)
             if dist(q, objs[centers[pos]]) <= r:
                 results.add(centers[pos])
-        tried.sort(reverse=True)
-        for j in tried:
+        entered.sort(reverse=True)
+        for j in entered:
             if children[j] is not None:
                 stack.append(children[j])
     stats.distance_evals = evals
@@ -240,9 +256,12 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     radius range search.  The node visits are those of the range search
     under the current radius: the multi-pivot visit also drops an open
     measuring center whose bound exceeds the radius, and re-checks the
-    radius before each untried center of a reduced table.  Surviving
-    children are entered in ascending (lower bound, position) order and
-    skipped when their bound exceeds the radius by then.
+    radius before each untried center of a reduced table.  A pivot's own
+    column is tested with the radius after the pivot was offered to the
+    heap, and a hit raises the child's bound to that entry's gap when the
+    gap is larger.  Surviving children are entered in ascending (lower
+    bound, position) order and skipped when their bound exceeds the
+    radius by then.
 
     The best candidates sit in a size-k heap of (-distance, -id); it starts
     with k sentinels that every candidate beats, so the radius, the k-th
@@ -299,6 +318,8 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 if measured[pos] < e:
                     e = measured[pos]
                     row = i
+            if e > FLOAT_MAX:
+                e = FLOAT_MAX
             e_hi = e - radius
             e_lo = e + radius
             survivors = []
@@ -313,19 +334,28 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
             row = 0
             opened = list(range(m))
             del opened[pos]
-            tried = []
+            entered = []
             while True:
                 evals += 1
                 c = centers[pos]
                 e = dist(q, objs[c])
-                tried.append((lower[pos], pos))
                 if e <= radius and (item := (-e, -c)) > heap[0]:
                     heapreplace(heap, item)
                     radius = -heap[0][0]
+                if e > FLOAT_MAX:
+                    e = FLOAT_MAX
                 lo_row = lo_rows[row]
                 hi_row = hi_rows[row]
                 e_hi = e - radius
                 e_lo = e + radius
+                if children[pos] is not None:  # the pivot's own column
+                    inspected += 1
+                    hi = hi_row[pos]
+                    lo = lo_row[pos]
+                    if not (e_hi > hi or e_lo < lo):
+                        gap = e - hi if e - hi > lo - e else lo - e
+                        lb = lower[pos]
+                        entered.append((gap if gap > lb else lb, pos))
                 inspected += len(opened)
                 kept = []
                 nxt = -1
@@ -357,11 +387,11 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 evals += 1
                 c = centers[pos]
                 e = dist(q, objs[c])
-                tried.append((lower[pos], pos))
+                entered.append((lower[pos], pos))
                 if e <= radius and (item := (-e, -c)) > heap[0]:
                     heapreplace(heap, item)
                     radius = -heap[0][0]
-            survivors = tried
+            survivors = entered
         survivors.sort(reverse=True)
         for lb, j in survivors:
             if children[j] is not None:

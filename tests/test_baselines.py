@@ -33,10 +33,10 @@ def test_aesa_lookup_symmetric():
     ds = generate_uniform_vectors(30, 3, seed=2)
     matrix = aesa_build(ds, EUCLID)
     for i in range(30):
-        assert matrix.lookup(i, i) == 0.0
+        assert matrix.row(i)[i] == 0.0
         for j in range(i + 1, 30):
-            assert matrix.lookup(i, j) == matrix.lookup(j, i)
-            assert matrix.lookup(i, j) == EUCLID.distance(ds[i], ds[j])
+            assert matrix.row(i)[j] == matrix.row(j)[i]
+            assert matrix.row(i)[j] == EUCLID.distance(ds[i], ds[j])
         assert np.allclose(matrix.row(i), [EUCLID.distance(ds[i], ds[j]) for j in range(30)])
 
 
@@ -47,6 +47,10 @@ def test_aesa_search_trivial_cases():
     assert stats.results == set(range(50))
     stats = aesa_range_search(matrix, ds, RangeQuery(ds[7], 0.0), EUCLID)
     assert stats.results == {7}
+    for tiny in (Dataset([]), line_dataset(7.0)):
+        stats = aesa_range_search(aesa_build(tiny, EUCLID), tiny, RangeQuery((7.0,), 1.0), EUCLID)
+        assert (stats.results, stats.distance_evals, stats.entries_inspected) == \
+            (set(range(len(tiny))), len(tiny), 0)
 
 
 def test_aesa_oracle_and_flat_trend():

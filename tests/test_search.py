@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -8,13 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, EuclideanMetric,
-                    FixedPointParams, GnatTree, PowerArity, QueryStats, RangeQuery, build,
-                    egnat_range_search, generate_uniform_vectors, gnat_range_search,
-                    iter_nodes, knn_search, prune_check, split_queries,
-                    subtree_object_ids, with_fixed_point)
+                    FixedPointParams, GnatTree, MetricSpace, PowerArity, QueryStats, RangeQuery,
+                    aesa_build, aesa_range_search, build, egnat_range_search,
+                    generate_uniform_vectors, gnat_range_search, iter_nodes, knn_search,
+                    split_queries, subtree_object_ids, with_fixed_point)
 from gnatty.bench import calibrate_radius, linear_scan_knn, linear_scan_range
 
 EUCLID = EuclideanMetric()
+
+
+def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
+    """The search's elimination test: the closed intervals [e - r, e + r]
+    and [lo, hi] do not intersect, so no object under the child with table
+    interval [lo, hi] lies within distance r of a query at distance e from
+    the pivot."""
+    return e - r > hi or e + r < lo
 
 
 def test_prune_check_examples():
@@ -96,20 +105,76 @@ def test_exactness_everywhere(seed, n, partition, constant, codec, reduce_factor
 
 def test_pruning_is_safe_for_every_entry():
     """Any (pivot, child) elimination the tables could ever justify must be
-    sound: no object under that child may lie within the query ball."""
+    sound: no object under that child may lie within the query ball.  The
+    entries include each pivot's own column (col == pos), which the
+    multi-pivot search prunes its tried pivots' children with, and the
+    decoded tables of the fixed-point twin."""
     ds = generate_uniform_vectors(400, 4, seed=17)
     tree = build(ds, EUCLID, BuildConfig(arity=PowerArity(0.5), partition="ball", seed=17))
+    twin = with_fixed_point(tree, FixedPointParams(8, 2, 0.2))
     queries = generate_uniform_vectors(5, 4, seed=18)
     for q in queries:
         r = calibrate_radius(ds, EUCLID, q, 10)
-        for node in iter_nodes(tree.root):
-            lo_rows, hi_rows = node.table.decoded_bounds()
-            for row, pos in enumerate(node.measuring_set):
-                e = EUCLID.distance(q, ds[node.centers[pos]])
-                for col in range(len(node.centers)):
-                    if prune_check(e, r, lo_rows[row][col], hi_rows[row][col]):
-                        covered = [node.centers[col]] + subtree_object_ids(node.children[col])
-                        assert all(EUCLID.distance(q, ds[oid]) > r for oid in covered)
+        for t in (tree, twin):
+            for node in iter_nodes(t.root):
+                lo_rows, hi_rows = node.table.decoded_bounds()
+                for row, pos in enumerate(node.measuring_set):
+                    e = EUCLID.distance(q, ds[node.centers[pos]])
+                    for col in range(len(node.centers)):
+                        if prune_check(e, r, lo_rows[row][col], hi_rows[row][col]):
+                            covered = [node.centers[col]] + subtree_object_ids(node.children[col])
+                            assert all(EUCLID.distance(q, ds[oid]) > r for oid in covered)
+
+
+class RecordingMetric(MetricSpace):
+    """Euclidean distance that records the id of every object it measures."""
+
+    name = "recording"
+
+    def __init__(self, dataset):
+        self.ids = {id(obj): i for i, obj in enumerate(dataset.objects)}
+        self.measured = set()
+
+    def distance(self, a, b):
+        self.measured.add(self.ids[id(b)])
+        return EUCLID.distance(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n=st.integers(2, 80),
+       partition=st.sampled_from(["hyperplane", "ball"]),
+       constant=st.booleans(),
+       reduce_factor=st.sampled_from([1.0, 2.0]),
+       codec=st.sampled_from(["exact", "fp"]),
+       radius=st.floats(0.0, 1.0),
+       k=st.integers(1, 10))
+def test_pruned_own_subtree_is_never_entered(seed, n, partition, constant, reduce_factor,
+                                             codec, radius, k):
+    """A measured pivot whose own column misses the query ball keeps the
+    multi-pivot range search out of its child: nothing under it is
+    measured.  Both k-NN modes stay exact under the same rule."""
+    ds = generate_uniform_vectors(n, 3, seed=seed)
+    fp = FixedPointParams(8, 2, 0.2) if codec == "fp" else None
+    tree = build(ds, EUCLID, BuildConfig(
+        arity=ConstantArity(3) if constant else PowerArity(0.5), partition=partition,
+        reduce_factor=reduce_factor, fixed_point=fp, seed=seed))
+    q = generate_uniform_vectors(1, 3, seed=seed + 1)[0]
+    recorder = RecordingMetric(ds)
+    stats = gnat_range_search(tree, RangeQuery(q, radius), recorder)
+    assert stats.results == linear_scan_range(ds, q, radius, EUCLID)
+    assert stats.distance_evals == len(recorder.measured)
+    for node in iter_nodes(tree.root):
+        lo_rows, hi_rows = node.table.decoded_bounds()
+        for row, pos in enumerate(node.measuring_set):
+            if node.centers[pos] not in recorder.measured:
+                continue
+            e = EUCLID.distance(q, ds[node.centers[pos]])
+            if prune_check(e, radius, lo_rows[row][pos], hi_rows[row][pos]):
+                assert recorder.measured.isdisjoint(subtree_object_ids(node.children[pos]))
+    k = min(k, n)
+    for mode in ("gnat", "egnat"):
+        assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
 
 
 def test_fixed_point_same_results_more_evals(small_world):
@@ -180,6 +245,32 @@ def test_range_search_on_a_tree_over_no_objects():
     tree = GnatTree(Bucket([]), config, Dataset([]), 0)
     for search in (gnat_range_search, egnat_range_search):
         assert search(tree, RangeQuery((0.0,), 1.0), EUCLID) == QueryStats()
+
+
+@pytest.mark.parametrize("partition", ["ball", "hyperplane"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_overflowing_distances_stay_exact(partition, m):
+    # Coordinates near +-1e308 on a grid of 2**1019: every difference is
+    # exact until it overflows, so inf is the only departure from real
+    # arithmetic.  d(-17u, 17u) overflows, and the searches meet inf
+    # distances and table bounds and inf - inf = nan bounds; an infinite
+    # distance is only known to exceed the largest float, and a nan bound
+    # must not prune.
+    unit = 2.0 ** 1019
+    ds = Dataset([(k * unit,) for k in (-17, -9, -2, 3, 11, 17)])
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(m), partition=partition, seed=0))
+    assert any(math.inf in row for node in iter_nodes(tree.root)
+               for row in node.table.decoded_bounds()[1])
+    matrix = aesa_build(ds, EUCLID)
+    for q in ((-17 * unit,), (0.0,), (5 * unit,), (17 * unit,)):
+        for r in (0.0, 6 * unit, 14 * unit, 20 * unit, 1e308, sys.float_info.max, math.inf):
+            expected = linear_scan_range(ds, q, r, EUCLID)
+            for search in (gnat_range_search, egnat_range_search):
+                assert search(tree, RangeQuery(q, r), EUCLID).results == expected
+            assert aesa_range_search(matrix, ds, RangeQuery(q, r), EUCLID).results == expected
+        for k in range(1, 7):
+            for mode in ("gnat", "egnat"):
+                assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
 
 
 # ---------------------------------------------------------------- kNN
@@ -263,7 +354,9 @@ def test_per_query_golden_counters():
     # pinned: test_sweep_golden_counters pins only per-variant sums, which
     # a change moving work from one query to another still passes.  Change
     # the hash only with a change that says openly that it alters the
-    # search algorithm.
+    # search algorithm.  Re-pinned from e0c0a335... when the multi-pivot
+    # step began testing each tried pivot's own column: answers unchanged,
+    # multi-pivot range evaluations down on every query.
     digest = hashlib.sha256()
     for name, data in _golden_datasets():
         queries, database = split_queries(data, 8, 0)
@@ -286,4 +379,4 @@ def test_per_query_golden_counters():
                                  stats.entries_inspected, ranked))
                 digest.update(f"{line!r}\n".encode())
     assert digest.hexdigest() == (
-        "e0c0a335a9e3504ea40630788e3fc70e0d1ca2bbef170684a6ba7e91193d16ca")
+        "57a2733993558aa340b52b04299def31ee0bb3be2707653007514b50579cb111")
