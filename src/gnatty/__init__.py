@@ -11,8 +11,7 @@ from .bench import (ExperimentSpec, ResultRow, calibrate_radius, emit_csv,
 from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
                        load_strings, load_vectors, rng_stream, split_queries)
 from .errors import ConfigError, DatasetFormatError, GnattyError, OracleMismatchError
-from .fixedpoint import (FixedPointParams, decode_code, encode_interval,
-                         params_for_integer_range)
+from .fixedpoint import FixedPointParams, encode_interval, params_for_integer_range
 from .metrics import (DistanceCounter, EditDistanceMetric, EuclideanMetric,
                       MetricSpace, edit_distance, metric_by_name)
 from .search import (QueryStats, RangeQuery, egnat_range_search, gnat_range_search,
@@ -20,7 +19,7 @@ from .search import (QueryStats, RangeQuery, egnat_range_search, gnat_range_sear
 from .tree import (Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree, PowerArity,
                    RangeTable, arity_for, ball_partition, build, compute_range_table,
                    encode_table, hyperplane_partition, iter_nodes, select_pivots,
-                   subtree_object_ids, table_bytes, table_entry_count, with_fixed_point)
+                   table_bytes, table_entry_count, with_fixed_point)
 from .treefile import load_tree, save_tree
 
 __version__ = "0.1.0"

@@ -83,13 +83,6 @@ def encode_interval(lo, hi, params: FixedPointParams):
     return lo_code, hi_code
 
 
-def decode_code(code: int, params: FixedPointParams) -> float:
-    """Map a code back to a float: (code / scale) ** (1 / beta)."""
-    if not 0 <= code <= params.max_code:
-        raise ConfigError(f"code {code} out of range for {params.total_bits}-bit codec")
-    return (code / params.scale) ** (1.0 / params.beta)
-
-
 @lru_cache(maxsize=32)
 def decode_lut(params: FixedPointParams) -> np.ndarray:
     """All 2**total_bits decoded values; lets queries decode by lookup."""

@@ -132,8 +132,7 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
     q, r = query.obj, query.radius
     objs, dist = tree.dataset.objects, metric.distance
     evals = visited = inspected = 0
-    root = _search_root(tree)
-    stack = [] if root is None else [root]  # None: a tree over no objects
+    stack = [_search_root(tree)]
     while stack:
         node = stack.pop()
         if type(node) is int:

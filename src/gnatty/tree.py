@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -199,30 +199,52 @@ def select_pivots(object_ids, m: int, rng: np.random.Generator) -> list[int]:
     return sorted(object_ids[i] for i in picked)
 
 
-def hyperplane_partition(object_ids, center_ids, dataset: Dataset,
-                         metric: MetricSpace) -> tuple[list[list[int]], np.ndarray]:
+def node_distances(center_ids, positions, object_ids, dataset: Dataset,
+                   metric: MetricSpace) -> np.ndarray:
+    """The distances a node's range table is read from, one row per
+    measuring center.
+
+    Row i holds the distances from center positions[i] to every center,
+    then to every object, in center_ids and object_ids order, measured in
+    (pivot, object) argument order.  Its own entry is d(x, x) = 0, taken
+    uncharged, so each row costs len(center_ids) - 1 + len(object_ids)
+    evaluations.  The rows are one block, which, freed whole, leaves no
+    holes in the heap.
+    """
+    objs = dataset.objects
+    centers = list(map(objs.__getitem__, center_ids))
+    points = list(map(objs.__getitem__, object_ids))
+    block = np.empty((len(positions), len(centers) + len(points)))
+    for row, pos in zip(block, positions):
+        pivot = centers[pos]
+        row[:pos] = metric.distances(pivot, centers[:pos])
+        row[pos] = 0.0
+        row[pos + 1:] = metric.distances(pivot, centers[pos + 1:] + points)
+    return block
+
+
+def hyperplane_partition(object_ids, center_ids, known, dataset: Dataset,
+                         metric: MetricSpace) -> list[list[int]]:
     """Assign every object to its nearest center (nearest-center cells).
 
-    Ties go to the lowest center position.  Costs exactly
-    len(object_ids) * len(center_ids) distance evaluations, one batched
-    call per center.  Returns (assigned, measured): assigned[pos] lists
-    the objects of center pos in object_ids order, and row pos of the
-    measured matrix holds that center's distances to every object, in
-    object_ids order.
+    Ties go to the lowest center position.  known[pos] is center pos's
+    distances to every object, in object_ids order, or None; only the
+    centers without them are measured, one batched call each.  Returns
+    assigned: assigned[pos] lists the objects of center pos in object_ids
+    order.
     """
     if not center_ids:
         raise ConfigError("hyperplane partition needs at least one center")
     objs = dataset.objects
     points = list(map(objs.__getitem__, object_ids))
-    # one block, freed whole, leaves no holes in the heap
     measured = np.empty((len(center_ids), len(points)))
-    for pos, cid in enumerate(center_ids):
-        measured[pos] = metric.distances(objs[cid], points)
+    for pos, (cid, row) in enumerate(zip(center_ids, known)):
+        measured[pos] = metric.distances(objs[cid], points) if row is None else row
     nearest = measured.argmin(axis=0)  # the first minimum: the lowest position
     assigned: list[list[int]] = [[] for _ in center_ids]
     for oid, pos in zip(object_ids, nearest.tolist()):
         assigned[pos].append(oid)
-    return assigned, measured
+    return assigned
 
 
 def ball_capacity(object_count: int, m: int, gamma: float) -> int:
@@ -244,18 +266,19 @@ def nearest_first(d: np.ndarray, ids, take: int) -> np.ndarray:
     return candidates[order[:take]]
 
 
-def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
-                   metric: MetricSpace) -> tuple[list[list[int]], list[np.ndarray]]:
+def ball_partition(object_ids, center_ids, gamma: float, known, dataset: Dataset,
+                   metric: MetricSpace) -> list[list[int]]:
     """Greedy balls: each center but the last takes its nearest unclaimed
     objects up to a fixed capacity; the last center takes the leftovers.
 
     Capacities use the initial object count, so gamma < 1 starves the
     early balls and funnels mass into the last child (an unbalanced,
     right-deep tree).  Ties at the ball boundary go to the lower object id.
-    Returns (assigned, measured): assigned[pos] lists the ball of center
-    pos in object_ids order, and measured[pos] holds that center's
-    distances to the objects still unclaimed at its turn, in object_ids
-    order (empty for the last center, which measures nothing).
+    known[pos] is center pos's distances to every object, in object_ids
+    order, or None; a center without them measures just the objects still
+    unclaimed at its turn, and the last center measures nothing.  Returns
+    assigned: assigned[pos] lists the ball of center pos in object_ids
+    order.
     """
     m = len(center_ids)
     if m == 0:
@@ -264,96 +287,48 @@ def ball_partition(object_ids, center_ids, gamma: float, dataset: Dataset,
     objs = dataset.objects
     remaining = list(object_ids)
     points = list(map(objs.__getitem__, remaining))
+    unclaimed = np.arange(len(remaining))  # positions of remaining in object_ids
     assigned: list[list[int]] = []
-    # center pos measures the objects still unclaimed at its turn; the
-    # vectors are slices of one block, which, freed whole, leaves no holes
-    # in the heap
-    sizes = [max(0, len(remaining) - pos * capacity) for pos in range(m - 1)] + [0]
-    ends = list(accumulate(sizes))
-    block = np.empty(ends[-1])
-    measured = [block[end - size:end] for size, end in zip(sizes, ends)]
     for pos in range(m - 1):
         if not remaining:
             assigned.append([])
             continue
-        d = np.array(metric.distances(objs[center_ids[pos]], points), dtype=np.float64)
-        measured[pos][:] = d
+        row = known[pos]
+        if row is None:
+            d = np.array(metric.distances(objs[center_ids[pos]], points), dtype=np.float64)
+        else:
+            d = row[unclaimed]
         taken = np.zeros(len(remaining), dtype=bool)
         taken[nearest_first(d, remaining, min(capacity, len(remaining)))] = True
         assigned.append(list(compress(remaining, taken.tolist())))
         kept = (~taken).tolist()
         remaining = list(compress(remaining, kept))
         points = list(compress(points, kept))
+        unclaimed = unclaimed[~taken]
     assigned.append(remaining)
-    return assigned, measured
+    return assigned
 
 
-def compute_range_table(measuring_ids, center_ids, partitions, dataset: Dataset,
-                        metric: MetricSpace, object_ids=(), measured=None) -> RangeTable:
+def compute_range_table(dist: np.ndarray, center_ids, partitions, object_ids) -> RangeTable:
     """Exact [min, max] of distances from each measuring pivot to each
     child's objects, the child's center included.
 
-    Each pivot's row covers the children laid out end to end, each child's
-    center first.  d(x, x) = 0 is taken, uncharged, when the pivot is a
-    child center itself.  A pivot that is not a center, and a center
-    without measured distances, measure the whole layout but themselves.
-
-    measured is what the partition of object_ids into partitions handed
-    back: measured[j] holds center j's distances to the objects of a suffix
-    of the children (all of them for hyperplane cells, ball j onward for
-    balls), in object_ids order.  Center j fills that suffix from it and
-    measures the rest, so no (pivot, object) pair is measured twice: the
-    children before the suffix in one batched call over the front of the
-    layout, and the other centers of the suffix in another.
+    dist holds the pivots' node_distances rows over center_ids and
+    object_ids, and partitions splits object_ids among the centers.
+    Nothing is measured here: each row in turn is laid out child by child,
+    each child's center first, and reduced per child.
     """
-    rows, cols = len(measuring_ids), len(center_ids)
-    lo = np.zeros((rows, cols), dtype=np.float64)
-    hi = np.zeros((rows, cols), dtype=np.float64)
-    objs = dataset.objects
-    points = []
-    starts = []
-    for cid, part in zip(center_ids, partitions):
-        starts.append(len(points))
-        points.append(objs[cid])
-        points.extend(map(objs.__getitem__, part))
-    center_pos = {cid: j for j, cid in enumerate(center_ids)}
-    if measured is not None:
-        slot_of = dict(zip(chain.from_iterable(partitions), chain.from_iterable(
-            range(s + 1, s + 1 + len(part)) for s, part in zip(starts, partitions))))
-        object_slots = np.fromiter(map(slot_of.__getitem__, object_ids),
-                                   dtype=np.intp, count=len(object_ids))
-        center_points = [points[s] for s in starts]
-        center_slots = np.array(starts)
-        # suffix_from[k]: the first child of the longest suffix of children
-        # holding k objects; for k = len(measured[j]) > 0 it is never after j
-        suffix_from, k = {}, 0
-        for c in reversed(range(cols)):
-            k += len(partitions[c])
-            suffix_from[k] = c
-    d = np.empty(len(points), dtype=np.float64)
-    for i, pid in enumerate(measuring_ids):
-        pivot = objs[pid]
-        j = center_pos.get(pid)
-        if j is None:
-            d[:] = metric.distances(pivot, points)
-        elif measured is None or not len(measured[j]):
-            s = starts[j]
-            d[:s] = metric.distances(pivot, points[:s])
-            d[s] = 0.0
-            d[s + 1:] = metric.distances(pivot, points[s + 1:])
-        else:
-            known = measured[j]
-            c = suffix_from[len(known)]
-            front = starts[c]
-            if front:
-                d[:front] = metric.distances(pivot, points[:front])
-            if len(known) == len(object_ids):
-                d[object_slots] = known
-            else:
-                d[object_slots[object_slots > front]] = known
-            between = metric.distances(pivot, center_points[c:j] + center_points[j + 1:])
-            between.insert(j - c, 0.0)
-            d[center_slots[c:]] = between
+    column = {oid: k for k, oid in enumerate(object_ids, len(center_ids))}
+    starts, layout = [], []
+    for j, part in enumerate(partitions):
+        starts.append(len(layout))
+        layout.append(j)
+        layout.extend(map(column.__getitem__, part))
+    layout = np.array(layout, dtype=np.intp)
+    lo = np.empty((len(dist), len(center_ids)))
+    hi = np.empty_like(lo)
+    for i, row in enumerate(dist):
+        d = row[layout]
         lo[i] = np.minimum.reduceat(d, starts)
         hi[i] = np.maximum.reduceat(d, starts)
     return RangeTable(lo, hi)
@@ -407,18 +382,21 @@ def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
         centers = select_pivots(object_ids, m, pivot_rng)
         center_set = set(centers)
         rest = [oid for oid in object_ids if oid not in center_set]
-        if config.partition == "ball":
-            partitions, measured = ball_partition(rest, centers, config.gamma, dataset, metric)
-        else:
-            partitions, measured = hyperplane_partition(rest, centers, dataset, metric)
         if config.reduce_factor > 1.0:
             keep = math.ceil(m / config.reduce_factor)
             positions = sorted(reduce_rng.choice(m, size=keep, replace=False).tolist())
         else:
             positions = list(range(m))
-        table = compute_range_table([centers[p] for p in positions], centers,
-                                    partitions, dataset, metric, rest, measured)
-        del measured  # the children need none of this node's distances
+        dist = node_distances(centers, positions, rest, dataset, metric)
+        known = [None] * m
+        for pos, row in zip(positions, dist):
+            known[pos] = row[m:]
+        if config.partition == "ball":
+            partitions = ball_partition(rest, centers, config.gamma, known, dataset, metric)
+        else:
+            partitions = hyperplane_partition(rest, centers, known, dataset, metric)
+        table = compute_range_table(dist, centers, partitions, rest)
+        del dist, known  # the children need none of this node's distances
         if config.fixed_point is not None:
             table = encode_table(table, config.fixed_point)
         node = GnatNode(centers, table, [None] * m, positions)
@@ -459,20 +437,6 @@ def iter_nodes(root):
         if isinstance(node, GnatNode):
             yield node
             stack.extend(reversed(node.children))
-
-
-def subtree_object_ids(node) -> list[int]:
-    """All object ids stored in a subtree (centers and bucket members)."""
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Bucket):
-            out.extend(node.object_ids)
-        else:
-            out.extend(node.centers)
-            stack.extend(node.children)
-    return out
 
 
 def table_entry_count(tree: GnatTree) -> int:

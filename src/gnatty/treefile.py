@@ -178,6 +178,8 @@ def load_tree(path, dataset: Dataset) -> GnatTree:
         raise ConfigError(f"{path}: corrupt build config: {exc!r}") from exc
     reader.pos += config_len
     (size,) = reader.unpack("<Q")
+    if size == 0:
+        raise ConfigError(f"{path}: tree is over no objects, which build refuses")
     if size != len(dataset):
         raise ConfigError(
             f"{path}: tree was built over {size} objects, dataset has {len(dataset)}")

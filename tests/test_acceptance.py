@@ -174,10 +174,10 @@ def test_criterion_7_ball_partition_structure():
     centers = list(range(8))
     objects = list(range(8, 500))
     m = len(centers)
-    balanced, _ = ball_partition(objects, centers, 1.0, dataset, EUCLID)
+    balanced = ball_partition(objects, centers, 1.0, [None] * m, dataset, EUCLID)
     expected = max(1, math.ceil(len(objects) / m))
     first_ok = all(len(part) == expected for part in balanced[:-1])
-    skewed, _ = ball_partition(objects, centers, 0.9, dataset, EUCLID)
+    skewed = ball_partition(objects, centers, 0.9, [None] * m, dataset, EUCLID)
     unbalanced = len(skewed[-1]) > len(balanced[-1])
     _report(7, first_ok and unbalanced,
             f"gamma=1 first {m - 1} children all {expected}; last child "

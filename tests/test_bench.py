@@ -7,6 +7,7 @@ from gnatty import (ConfigError, Dataset, EuclideanMetric, ExperimentSpec,
                     generate_uniform_vectors, linear_scan_range, oracle_check,
                     run_experiment)
 from gnatty.bench import CSV_COLUMNS, linear_scan_knn, resolve_fp_params
+from gnatty.fixedpoint import decode_lut
 
 EUCLID = EuclideanMetric()
 
@@ -157,9 +158,7 @@ def test_resolve_fp_params_for_edit():
     params = resolve_fp_params(spec, words)
     assert params.beta == 1.0
     longest = max(len(w) for w in words)
-    from gnatty import decode_code
-
-    assert decode_code(params.max_code, params) >= longest
+    assert decode_lut(params)[params.max_code] >= longest
 
 
 def test_find_equal_memory_arity():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gnatty import (ConfigError, FixedPointParams, RangeTable, decode_code, encode_interval,
-                    encode_table, params_for_integer_range)
+from gnatty import (ConfigError, FixedPointParams, RangeTable, encode_interval, encode_table,
+                    params_for_integer_range)
 from gnatty.fixedpoint import decode_lut, decoded_floats
 
 Q28 = FixedPointParams(total_bits=8, magnitude_bits=2, beta=1 / 5)
@@ -32,17 +32,18 @@ def test_encode_examples():
 
 
 def test_decode_examples():
-    assert decode_code(0, Q28) == 0.0
-    assert decode_code(128, Q28) == pytest.approx(32.0)
-    with pytest.raises(ConfigError):
-        decode_code(256, Q28)
+    lut = decode_lut(Q28)
+    assert lut[0] == 0.0
+    assert lut[128] == pytest.approx(32.0)
+    assert len(lut) == Q28.max_code + 1  # no code above max_code decodes
 
 
 @given(st.floats(min_value=0.0, max_value=900.0, allow_nan=False))
 def test_roundtrip_brackets_value(x):
     # 900 < decode(255) ~ 1012 for Q2.8 with beta=1/5, so hi never saturates
     lo_code, hi_code = encode_interval(x, x, Q28)
-    assert decode_code(lo_code, Q28) <= x <= decode_code(hi_code, Q28)
+    lut = decode_lut(Q28)
+    assert lut[lo_code] <= x <= lut[hi_code]
 
 
 @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
@@ -56,9 +57,9 @@ def test_codes_ordered(a, b):
 def test_saturation_detection():
     # below the largest decoded value the hi code decodes above hi ...
     _, hi_code = encode_interval(900.0, 900.0, Q28)
-    assert hi_code < Q28.max_code and decode_code(hi_code, Q28) > 900.0
+    assert hi_code < Q28.max_code and decode_lut(Q28)[hi_code] > 900.0
     # ... from it on no code does: hi clamps to max_code, which decodes <= hi
-    top = decode_code(Q28.max_code, Q28)
+    top = decode_lut(Q28)[Q28.max_code]
     for hi in (top, 2000.0):
         assert encode_interval(hi, hi, Q28) == (Q28.max_code, Q28.max_code)
     assert top < 2000.0  # why the saturation flag exists
@@ -68,17 +69,18 @@ def test_decode_lut_matches_scalar():
     lut = decode_lut(Q28)
     assert len(lut) == 256
     for code in (0, 1, 7, 64, 128, 255):
-        assert lut[code] == decode_code(code, Q28)
+        assert lut[code] == (code / Q28.scale) ** (1 / Q28.beta)
 
 
 def test_params_for_integer_range():
     params = params_for_integer_range(12)
     assert params.beta == 1.0
-    assert decode_code(params.max_code, params) >= 12
+    lut = decode_lut(params)
+    assert lut[params.max_code] >= 12
     lo, hi = encode_interval(12.0, 12.0, params)
-    assert decode_code(lo, params) <= 12.0 <= decode_code(hi, params)
+    assert lut[lo] <= 12.0 <= lut[hi]
     # exact integers survive the round trip un-widened on the lower side
-    assert decode_code(lo, params) == 12.0
+    assert lut[lo] == 12.0
 
 
 LAYOUTS = [

@@ -9,13 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, EuclideanMetric,
-                    FixedPointParams, GnatTree, MetricSpace, PowerArity, QueryStats, RangeQuery,
+                    FixedPointParams, MetricSpace, PowerArity, RangeQuery,
                     aesa_build, aesa_range_search, build, egnat_range_search,
                     generate_uniform_vectors, gnat_range_search, iter_nodes, knn_search,
-                    split_queries, subtree_object_ids, with_fixed_point)
+                    split_queries, with_fixed_point)
 from gnatty.bench import calibrate_radius, linear_scan_knn, linear_scan_range
 
 EUCLID = EuclideanMetric()
+
+
+def subtree_object_ids(node) -> list[int]:
+    """All object ids stored in a subtree (centers and bucket members)."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bucket):
+            out.extend(node.object_ids)
+        else:
+            out.extend(node.centers)
+            stack.extend(node.children)
+    return out
 
 
 def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
@@ -237,14 +250,6 @@ def test_reduced_tables_report_unmeasured_centers():
         for search in (gnat_range_search, egnat_range_search):
             assert search(tree, RangeQuery(q, 0.3), EUCLID).results == \
                 linear_scan_range(ds, q, 0.3, EUCLID)
-
-
-def test_range_search_on_a_tree_over_no_objects():
-    # load_tree accepts a file of an empty tree; a range search finds nothing
-    config = BuildConfig(arity=ConstantArity(2))
-    tree = GnatTree(Bucket([]), config, Dataset([]), 0)
-    for search in (gnat_range_search, egnat_range_search):
-        assert search(tree, RangeQuery((0.0,), 1.0), EUCLID) == QueryStats()
 
 
 @pytest.mark.parametrize("partition", ["ball", "hyperplane"])

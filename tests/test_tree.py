@@ -5,20 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnatty.tree
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset,
                     DistanceCounter, EuclideanMetric, FixedPointParams, GnatNode,
                     MetricSpace, PowerArity, arity_for, ball_partition, build,
                     compute_range_table, encode_table, generate_uniform_vectors,
-                    hyperplane_partition, iter_nodes, select_pivots, subtree_object_ids,
+                    hyperplane_partition, iter_nodes, select_pivots,
                     table_bytes, table_entry_count, with_fixed_point)
 from gnatty.datasets import rng_stream
-from gnatty.tree import ball_capacity
+from gnatty.tree import ball_capacity, node_distances
 
 EUCLID = EuclideanMetric()
 
 
 def line_dataset(*values):
     return Dataset([(float(v),) for v in values])
+
+
+def subtree_object_ids(node) -> list[int]:
+    """All object ids stored in a subtree (centers and bucket members)."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bucket):
+            out.extend(node.object_ids)
+        else:
+            out.extend(node.centers)
+            stack.extend(node.children)
+    return out
+
+
+class _PairRecorder(MetricSpace):
+    """Euclidean distance recording the (a, b) object ids of every call;
+    batches take the one-call-per-object default."""
+
+    name = "pairs"
+
+    def __init__(self, dataset):
+        self.ids = {id(obj): i for i, obj in enumerate(dataset)}
+        self.pairs = []
+
+    def distance(self, a, b) -> float:
+        self.pairs.append((self.ids[id(a)], self.ids[id(b)]))
+        return EUCLID.distance(a, b)
 
 
 # ---------------------------------------------------------------- arity
@@ -61,26 +90,38 @@ def test_select_pivots():
 # ---------------------------------------------------------------- partitions
 
 
+def test_node_distances_rows():
+    # centers at 0 and 4, objects at 3 and 5
+    ds = line_dataset(0.0, 4.0, 3.0, 5.0)
+    counter = DistanceCounter(EUCLID)
+    dist = node_distances([0, 1], [0, 1], [2, 3], ds, counter)
+    # every center, then every object; the own entry an uncharged 0.0
+    assert dist.tolist() == [[0.0, 4.0, 3.0, 5.0], [4.0, 0.0, 1.0, 1.0]]
+    assert counter.count == 2 * (2 - 1 + 2)
+    recorder = _PairRecorder(ds)
+    assert node_distances([0, 1], [1], [3, 2], ds, recorder).tolist() == [[4.0, 0.0, 1.0, 1.0]]
+    # (pivot, object) argument order, in layout order
+    assert recorder.pairs == [(1, 0), (1, 3), (1, 2)]
+
+
 def test_hyperplane_examples():
     ds = line_dataset(0.0, 1.0, 0.25, 0.75)
-    parts, measured = hyperplane_partition([], [0, 1], ds, EUCLID)
-    assert parts == [[], []] and [d.tolist() for d in measured] == [[], []]
-    parts, measured = hyperplane_partition([2, 3], [0, 1], ds, EUCLID)
-    assert parts == [[2], [3]]
-    # every center's distances to every object, in object order
-    assert [d.tolist() for d in measured] == [[0.25, 0.75], [0.75, 0.25]]
+    assert hyperplane_partition([], [0, 1], [None, None], ds, EUCLID) == [[], []]
+    assert hyperplane_partition([2, 3], [0, 1], [None, None], ds, EUCLID) == [[2], [3]]
+    # the same cells from known rows
+    rows = node_distances([0, 1], [0, 1], [2, 3], ds, EUCLID)[:, 2:]
+    assert hyperplane_partition([2, 3], [0, 1], list(rows), ds, EUCLID) == [[2], [3]]
 
 
 def test_hyperplane_tie_goes_to_lower_position():
     ds = line_dataset(0.0, 1.0, 0.5)
-    parts, _ = hyperplane_partition([2], [0, 1], ds, EUCLID)
-    assert parts == [[2], []]
+    assert hyperplane_partition([2], [0, 1], [None, None], ds, EUCLID) == [[2], []]
 
 
 def test_hyperplane_eval_count():
     ds = generate_uniform_vectors(40, 3, seed=0)
     counter = DistanceCounter(EUCLID)
-    hyperplane_partition(list(range(5, 40)), [0, 1, 2, 3, 4], ds, counter)
+    hyperplane_partition(list(range(5, 40)), [0, 1, 2, 3, 4], [None] * 5, ds, counter)
     assert counter.count == 35 * 5
 
 
@@ -95,7 +136,7 @@ def test_ball_partition_sizes():
     centers = [100, 101, 102, 103]
     objects = list(range(100))
     for gamma, first_sizes, last in [(1.0, 25, 25), (0.5, 3, 91)]:
-        parts, _ = ball_partition(objects, centers, gamma, ds, EUCLID)
+        parts = ball_partition(objects, centers, gamma, [None] * 4, ds, EUCLID)
         assert [len(p) for p in parts[:-1]] == [first_sizes] * 3
         assert len(parts[-1]) == last
         assert sorted(x for p in parts for x in p) == objects
@@ -104,29 +145,58 @@ def test_ball_partition_sizes():
 def test_ball_partition_takes_nearest():
     # center 0 at x=0 must claim the two closest objects
     ds = line_dataset(0.0, 10.0, 1.0, 2.0, 9.0, 8.0)
-    parts, measured = ball_partition([2, 3, 4, 5], [0, 1], 1.0, ds, EUCLID)
+    recorder = _PairRecorder(ds)
+    parts = ball_partition([2, 3, 4, 5], [0, 1], 1.0, [None, None], ds, recorder)
     assert parts[0] == [2, 3]
     assert parts[1] == [4, 5]
     # the first center measured every unclaimed object; the last, nothing
-    assert [d.tolist() for d in measured] == [[1.0, 2.0, 9.0, 8.0], []]
+    assert recorder.pairs == [(0, 2), (0, 3), (0, 4), (0, 5)]
 
 
 def test_ball_partition_tie_prefers_lower_id():
     ds = line_dataset(0.0, 5.0, 1.0, -1.0, 2.0)
     # objects 2 and 3 are both at distance 1 from center 0; capacity 1
-    parts, _ = ball_partition([2, 3, 4], [0, 1], 0.001, ds, EUCLID)
+    parts = ball_partition([2, 3, 4], [0, 1], 0.001, [None, None], ds, EUCLID)
     assert parts[0] == [2]
+    # the same tie from a known row
+    row = node_distances([0, 1], [0], [2, 3, 4], ds, EUCLID)[0, 2:]
+    assert ball_partition([2, 3, 4], [0, 1], 0.001, [row, None], ds, EUCLID)[0] == [2]
 
 
 def test_ball_balance_property():
     ds = generate_uniform_vectors(500, 5, seed=8)
     objects = list(range(9, 500))
     centers = list(range(9))
-    parts, measured = ball_partition(objects, centers, 1.0, ds, EUCLID)
+    recorder = _PairRecorder(ds)
+    parts = ball_partition(objects, centers, 1.0, [None] * 9, ds, recorder)
     expected = max(1, math.ceil(len(objects) / 9))
     assert all(len(p) == expected for p in parts[:-1])
     # each center measured just the objects still unclaimed at its turn
-    assert [len(d) for d in measured] == [len(objects) - i * expected for i in range(8)] + [0]
+    measured = [sum(1 for a, _ in recorder.pairs if a == c) for c in centers]
+    assert measured == [len(objects) - i * expected for i in range(8)] + [0]
+
+
+def test_known_rows_are_not_measured_again():
+    ds = generate_uniform_vectors(60, 3, seed=5)
+    centers, objects = [0, 1, 2, 3, 4], list(range(5, 60))
+    rows = node_distances(centers, [1, 3], objects, ds, EUCLID)[:, 5:]
+    known = [None, rows[0], None, rows[1], None]
+    for partition in (lambda metric: hyperplane_partition(objects, centers, known, ds, metric),
+                      lambda metric: ball_partition(objects, centers, 0.9, known, ds, metric)):
+        recorder = _PairRecorder(ds)
+        assert partition(recorder) == partition(EUCLID)
+        assert {a for a, _ in recorder.pairs}.isdisjoint({1, 3})
+
+
+def test_ball_center_without_row_measures_only_unclaimed_objects():
+    ds = generate_uniform_vectors(80, 2, seed=11)
+    centers, objects = [0, 1, 2, 3], list(range(4, 80))
+    rows = node_distances(centers, [0, 2], objects, ds, EUCLID)[:, 4:]
+    recorder = _PairRecorder(ds)
+    parts = ball_partition(objects, centers, 1.0, [rows[0], None, rows[1], None], ds, recorder)
+    assert parts == ball_partition(objects, centers, 1.0, [None] * 4, ds, EUCLID)
+    # center 1 measures what ball 0 left, in object order; the last center nothing
+    assert recorder.pairs == [(1, oid) for oid in objects if oid not in parts[0]]
 
 
 # ---------------------------------------------------------------- range table
@@ -182,56 +252,71 @@ def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
     m = min(m, n - 1)
     ids = rng.permutation(n).tolist()
     centers, objects = sorted(ids[:m]), ids[m:]  # objects in shuffled order
-    for partition, reference in ((lambda c: hyperplane_partition(objects, centers, dataset, c),
-                                  lambda c: _ref_hyperplane(objects, centers, dataset, c)),
-                                 (lambda c: ball_partition(objects, centers, gamma, dataset, c),
-                                  lambda c: _ref_ball(objects, centers, gamma, dataset, c))):
+    positions = list(range(0, m, 2))
+    measuring = [centers[p] for p in positions]
+    # the pairs a measuring center's row holds that its partition step measures
+    for partition, reference, reused in (
+            (lambda known, c: hyperplane_partition(objects, centers, known, dataset, c),
+             lambda c: _ref_hyperplane(objects, centers, dataset, c),
+             lambda parts: len(positions) * len(objects)),
+            (lambda known, c: ball_partition(objects, centers, gamma, known, dataset, c),
+             lambda c: _ref_ball(objects, centers, gamma, dataset, c),
+             lambda parts: sum(len(objects) - sum(map(len, parts[:p]))
+                               for p in positions if p < m - 1))):
         batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
-        parts, measured = partition(batched)
+        parts = partition([None] * m, batched)
         assert parts == reference(scalar)
-        assert batched.count == scalar.count == sum(map(len, measured))
-        measuring = centers[::2] + [objects[0]]  # a non-center pivot too
-        scalar = DistanceCounter(EUCLID)
-        lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
-        # without the partition's distances every pair is measured here
-        batched = DistanceCounter(EUCLID)
-        table = compute_range_table(measuring, centers, parts, dataset, batched)
-        assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
         assert batched.count == scalar.count
-        # with them, the measuring centers skip exactly the pairs already measured
-        batched = DistanceCounter(EUCLID)
-        table = compute_range_table(measuring, centers, parts, dataset, batched,
-                                    objects, measured)
+        full = batched.count
+        # the table rows: every (pivot, center or object) pair once, self uncharged
+        batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
+        dist = node_distances(centers, positions, objects, dataset, batched)
+        lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
+        assert batched.count == scalar.count == len(positions) * (m - 1 + len(objects))
+        table = compute_range_table(dist, centers, parts, objects)
         assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
-        reused = sum(len(measured[centers.index(c)]) for c in centers[::2])
-        assert batched.count == scalar.count - reused
+        # from known rows, the same cells, less exactly the pairs the rows hold
+        known = [None] * m
+        for pos, row in zip(positions, dist):
+            known[pos] = row[m:]
+        batched = DistanceCounter(EUCLID)
+        assert partition(known, batched) == parts
+        assert batched.count == full - reused(parts)
 
 
 def test_range_table_examples():
     # centers at 0 and 4; objects 3 and 5 live under the center at 4
     ds = line_dataset(0.0, 4.0, 3.0, 5.0)
     counter = DistanceCounter(EUCLID)
-    table = compute_range_table([0, 1], [0, 1], [[], [2, 3]], ds, counter)
+    dist = node_distances([0, 1], [0, 1], [2, 3], ds, counter)
+    table = compute_range_table(dist, [0, 1], [[], [2, 3]], [2, 3])
     lo, hi = table.decoded_bounds()
     assert lo[0][0] == hi[0][0] == 0.0          # self, empty child
     assert (lo[0][1], hi[0][1]) == (3.0, 5.0)
     assert lo[1][0] == hi[1][0] == 4.0          # singleton child set
-    # evals: every (pivot, object) pair once, minus the two d(x,x) shortcuts
+    # evals: every (pivot, object) pair once, minus the two d(x,x) shortcuts;
+    # the table itself measures nothing
     assert counter.count == 2 * (1 + 3) - 2
-    # the same node from each partition's own distances: the table
-    # measures only the pairs the partition did not
-    counter = DistanceCounter(EUCLID)
-    parts, measured = hyperplane_partition([2, 3], [0, 1], ds, counter)
+    # the same node from each partition: with both rows known, neither
+    # partition measures anything
+    known = list(dist[:, 2:])
+    parts = hyperplane_partition([2, 3], [0, 1], known, ds, counter)
     assert parts == [[], [2, 3]]
-    table = compute_range_table([0, 1], [0, 1], parts, ds, counter, [2, 3], measured)
+    table = compute_range_table(dist, [0, 1], parts, [2, 3])
     assert table.decoded_bounds() == ([[0.0, 3.0], [4.0, 0.0]], [[0.0, 5.0], [4.0, 1.0]])
-    assert counter.count == 2 * 2 + 2         # partition, then one center pair per row
-    counter = DistanceCounter(EUCLID)
-    parts, measured = ball_partition([2, 3], [0, 1], 1.0, ds, counter)
+    parts = ball_partition([2, 3], [0, 1], 1.0, known, ds, counter)
     assert parts == [[2], [3]]                 # capacity 1: the center at 0 claims 3.0
-    table = compute_range_table([0, 1], [0, 1], parts, ds, counter, [2, 3], measured)
+    table = compute_range_table(dist, [0, 1], parts, [2, 3])
     assert table.decoded_bounds() == ([[0.0, 4.0], [1.0, 0.0]], [[3.0, 5.0], [4.0, 1.0]])
-    assert counter.count == 2 + 1 + 3          # ball 0; row 0: center 1; row 1: all three
+    assert counter.count == 6
+    # a reduced table: one row, children laid out in object order
+    counter = DistanceCounter(EUCLID)
+    dist = node_distances([0, 1], [1], [3, 2], ds, counter)
+    parts = hyperplane_partition([3, 2], [0, 1], [None, dist[0, 2:]], ds, counter)
+    assert parts == [[], [3, 2]]
+    table = compute_range_table(dist, [0, 1], parts, [3, 2])
+    assert table.decoded_bounds() == ([[4.0, 0.0]], [[4.0, 1.0]])
+    assert counter.count == 3 + 2              # row of center 1, then center 0's cells
 
 
 def test_encode_table_marks_saturation():
@@ -246,6 +331,28 @@ def test_encode_table_marks_saturation():
 
 
 # ---------------------------------------------------------------- build
+
+
+@pytest.mark.parametrize("partition", ["hyperplane", "ball"])
+def test_build_phases_are_looked_up_at_call_time(monkeypatch, partition):
+    # the traced benchmark times the build phases by rebinding these
+    # gnatty.tree attributes; each must run once per internal node
+    calls = dict.fromkeys(["hyperplane_partition", "ball_partition",
+                           "compute_range_table", "encode_table"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(gnatty.tree, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gnatty.tree, name, counted)
+    ds = generate_uniform_vectors(120, 3, seed=3)
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), partition=partition,
+                                         reduce_factor=2.0,
+                                         fixed_point=FixedPointParams(8, 2, 0.2), seed=3))
+    nodes = len(list(iter_nodes(tree.root)))
+    assert nodes > 1
+    assert calls == {"hyperplane_partition": nodes if partition == "hyperplane" else 0,
+                     "ball_partition": nodes if partition == "ball" else 0,
+                     "compute_range_table": nodes, "encode_table": nodes}
 
 
 def test_build_single_object_is_leaf():
@@ -314,21 +421,6 @@ def test_partition_completeness(seed, n, partition, constant, reduce_factor, buc
                          reduce_factor=reduce_factor, seed=seed)
     tree = build(ds, EUCLID, config)
     assert sorted(subtree_object_ids(tree.root)) == list(range(n))
-
-
-class _PairRecorder(MetricSpace):
-    """Euclidean distance recording the (a, b) object ids of every call;
-    batches take the one-call-per-object default."""
-
-    name = "pairs"
-
-    def __init__(self, dataset):
-        self.ids = {id(obj): i for i, obj in enumerate(dataset)}
-        self.pairs = []
-
-    def distance(self, a, b) -> float:
-        self.pairs.append((self.ids[id(a)], self.ids[id(b)]))
-        return EUCLID.distance(a, b)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, EuclideanMetric,
-                    FixedPointParams, GnatNode, PowerArity, RangeQuery, build,
+from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, EuclideanMetric,
+                    FixedPointParams, GnatNode, GnatTree, PowerArity, RangeQuery, build,
                     generate_uniform_vectors, gnat_range_search, iter_nodes, load_tree,
                     save_tree, table_entry_count, with_fixed_point)
 
@@ -71,6 +71,15 @@ def test_dataset_size_mismatch(tmp_path):
     save_tree(tree, path)
     with pytest.raises(ConfigError):
         load_tree(path, generate_uniform_vectors(61, 3, seed=1))
+
+
+def test_tree_over_no_objects_rejected(tmp_path):
+    # build refuses an empty dataset, and so does load_tree a file of one
+    path = tmp_path / "empty.gnat"
+    save_tree(GnatTree(Bucket([]), BuildConfig(arity=ConstantArity(2)), Dataset([]), 0), path)
+    with pytest.raises(ConfigError, match="no objects") as err:
+        load_tree(path, Dataset([]))
+    assert str(path) in str(err.value)
 
 
 def test_bad_magic_and_truncation(tmp_path):
