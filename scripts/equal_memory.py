@@ -6,20 +6,18 @@ whose tree stores the closest table-entry count, and runs the same
 calibrated workload over both plus the AESA and List of Clusters
 baselines.  Reports entry counts and aggregate distance evaluations
 side by side (entry counts are matched as closely as possible, never
-forced equal).
+forced equal).  Every cell runs through the sweep harness of
+``gnatty sweep``.
 
 Example:
     python scripts/equal_memory.py --n 5000 --dim 10 --alpha 0.5
 """
 
 import argparse
+import dataclasses
 
-from gnatty import (BuildConfig, ConstantArity, EuclideanMetric, PowerArity,
-                    RangeQuery, aesa_build, aesa_range_search, build,
-                    calibrate_radius, find_equal_memory_arity,
-                    generate_uniform_vectors, gnat_range_search, lc_build,
-                    lc_range_search, split_queries, table_entry_count)
-from gnatty.baselines import lc_stored_reals
+from gnatty import ExperimentSpec, find_equal_memory_arity, metric_by_name, run_experiment
+from gnatty.bench import prepare_workload
 
 
 def main():
@@ -34,33 +32,20 @@ def main():
     parser.add_argument("--lc-bucket", type=int, default=32)
     args = parser.parse_args()
 
-    metric = EuclideanMetric()
-    dataset = generate_uniform_vectors(args.n + args.queries, args.dim, seed=args.seed)
-    queries, database = split_queries(dataset, args.queries, args.seed)
-    radii = [calibrate_radius(database, metric, q, args.target_k) for q in queries]
-
-    gnatty_tree = build(database, metric, BuildConfig(
-        arity=PowerArity(args.alpha), partition="ball", gamma=args.gamma, seed=args.seed))
-    target = table_entry_count(gnatty_tree)
-    m, achieved = find_equal_memory_arity(database, metric, target, seed=args.seed)
-    gnat_tree = build(database, metric, BuildConfig(arity=ConstantArity(m), seed=args.seed))
-    matrix = aesa_build(database, metric)
-    clusters = lc_build(database, metric, args.lc_bucket)
-
-    runners = [
-        (f"gnatty alpha={args.alpha}", target,
-         lambda q, r: gnat_range_search(gnatty_tree, RangeQuery(q, r), metric)),
-        (f"gnat m={m}", achieved,
-         lambda q, r: gnat_range_search(gnat_tree, RangeQuery(q, r), metric)),
-        ("aesa", len(matrix.entries),
-         lambda q, r: aesa_range_search(matrix, database, RangeQuery(q, r), metric)),
-        (f"lc bucket={args.lc_bucket}", lc_stored_reals(clusters),
-         lambda q, r: lc_range_search(clusters, RangeQuery(q, r), metric)),
-    ]
+    spec = ExperimentSpec(n=args.n + args.queries, dim=args.dim, queries=args.queries,
+                          seeds=(args.seed,), alphas=(args.alpha,), gammas=(args.gamma,),
+                          target_ks=(args.target_k,), lc_buckets=(args.lc_bucket,))
+    gnatty_row, = run_experiment(spec)
+    _, database, _ = prepare_workload(spec, args.seed)
+    m, _ = find_equal_memory_arity(database, metric_by_name(spec.metric), gnatty_row.entries,
+                                   seed=args.seed)
+    rows = [gnatty_row] + run_experiment(dataclasses.replace(
+        spec, indexes=("gnat", "aesa", "lc"), arity_consts=(m,)))
+    labels = [f"gnatty alpha={args.alpha}", f"gnat m={m}", "aesa", f"lc bucket={args.lc_bucket}"]
     print(f"{'structure':>22} {'entries':>10} {'total evals':>12} {'mean evals':>11}")
-    for label, entries, run in runners:
-        total = sum(run(q, r).distance_evals for q, r in zip(queries, radii))
-        print(f"{label:>22} {entries:>10} {total:>12} {total / len(queries):>11.1f}")
+    for label, row in zip(labels, rows):
+        total = round(row.mean_distance_evals * row.queries)
+        print(f"{label:>22} {row.entries:>10} {total:>12} {row.mean_distance_evals:>11.1f}")
 
 
 if __name__ == "__main__":

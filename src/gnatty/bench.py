@@ -16,17 +16,19 @@ import logging
 import statistics
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .baselines import aesa_build, aesa_range_search, lc_build, lc_range_search, lc_stored_reals
+from .baselines import (AesaMatrix, aesa_build, aesa_range_search, lc_build, lc_range_search,
+                        lc_stored_reals)
 from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
                        load_strings, load_vectors, split_queries)
 from .errors import ConfigError
 from .fixedpoint import FixedPointParams, params_for_integer_range
 from .metrics import MetricSpace, metric_by_name
 from .search import RangeQuery, egnat_range_search, gnat_range_search
-from .tree import (BuildConfig, ConstantArity, PowerArity, build, nearest_first,
+from .tree import (BuildConfig, ConstantArity, GnatTree, PowerArity, build, nearest_first,
                    table_bytes, table_entry_count)
 
 log = logging.getLogger("gnatty")
@@ -55,6 +57,12 @@ def calibrate_radius(database: Dataset, metric: MetricSpace, obj, target_k: int)
         raise ConfigError(f"target_k must be in [1, {len(database)}], got {target_k}")
     d = np.array(metric.distances(obj, database.objects), dtype=np.float64)
     return float(np.partition(d, target_k - 1)[target_k - 1])
+
+
+# The names a sweep accepts, in the order the CLI lists them
+INDEXES = ("gnatty", "gnat", "aesa", "lc")
+CODECS = ("exact", "fp")
+SEARCHES = ("gnat", "egnat")   # the tree disciplines; AESA and LC run their own
 
 
 @dataclass(frozen=True)
@@ -185,15 +193,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"n must be >= 0, got {spec.n}")
     if spec.queries < 0:
         raise ConfigError(f"queries must be >= 0, got {spec.queries}")
-    for index in spec.indexes:
-        if index not in ("gnatty", "gnat", "aesa", "lc"):
-            raise ConfigError(f"unknown index {index!r}")
-    for codec in spec.codecs:
-        if codec not in ("exact", "fp"):
-            raise ConfigError(f"unknown codec {codec!r}")
-    for search in spec.searches:
-        if search not in ("gnat", "egnat"):
-            raise ConfigError(f"unknown search mode {search!r}")
+    for kind, names, known in (("index", spec.indexes, INDEXES), ("codec", spec.codecs, CODECS),
+                               ("search mode", spec.searches, SEARCHES)):
+        for name in names:
+            if name not in known:
+                raise ConfigError(f"unknown {kind} {name!r}")
     for k in spec.target_ks:
         if k < 1:
             raise ConfigError(f"target_k must be >= 1, got {k}")
@@ -213,14 +217,18 @@ def validate_spec(spec: ExperimentSpec) -> None:
         RangeQuery(None, radius)
 
 
+# A variant's coordinates, in ResultRow and label order; the baselines
+# leave the tree coordinates blank.
+_NO_COORDS = dict.fromkeys(("partition", "arity", "gamma", "bucket", "codec", "reduce"), "")
+
+
 @dataclass
 class Variant:
     """One built structure plus the coordinates identifying it."""
 
     index: str
     coords: dict
-    search: str
-    runner: object           # callable(obj, radius) -> QueryStats
+    runners: dict            # search mode -> callable(obj, radius) -> QueryStats
     structure: object        # the GnatTree / AesaMatrix / ClusterList itself
     build_distance_evals: int
     entries: int
@@ -229,96 +237,101 @@ class Variant:
 
     @property
     def label(self) -> str:
-        parts = [self.index] + [f"{k}={v}" for k, v in self.coords.items() if v != ""]
-        parts.append(f"search={self.search}")
-        return " ".join(parts)
+        return " ".join([self.index] + [f"{k}={v}" for k, v in self.coords.items() if v != ""])
 
 
-def _tree_variants(index, spec, database, metric, seed):
-    partitions = spec.partitions
-    if partitions is None:
-        partitions = ("ball",) if index == "gnatty" else ("hyperplane",)
-    if index == "gnatty":
-        arities = [("alpha:%g" % a, PowerArity(a)) for a in spec.alphas]
-    else:
-        arities = [("const:%d" % m, ConstantArity(m)) for m in spec.arity_consts]
-    fp = None
-    if "fp" in spec.codecs:
-        fp = resolve_fp_params(spec, database)
-    for partition, (arity_label, arity), gamma, bucket, codec, reduce_factor in itertools.product(
-            partitions, arities, spec.gammas, spec.buckets, spec.codecs, spec.reduces):
-        try:
-            config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
-                                 bucket_size=bucket, reduce_factor=reduce_factor,
-                                 fixed_point=fp if codec == "fp" else None, seed=seed)
-            started = time.perf_counter()
-            tree = build(database, metric, config)
-            elapsed = time.perf_counter() - started
-        except ConfigError as exc:
-            log.warning("skipping infeasible %s cell: %s", index, exc)
+def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int):
+    """(index, coords, make, search modes) for every cell of the grid, in
+    sweep order; make() builds the cell's structure.  validate_spec has
+    checked every BuildConfig field, so only make() can fail."""
+    for index in spec.indexes:
+        if index == "aesa":
+            yield (index, {**_NO_COORDS, "codec": "exact"}, partial(aesa_build, database, metric),
+                   ("aesa",))
             continue
-        coords = {"partition": partition, "arity": arity_label,
-                  "gamma": "%g" % gamma, "bucket": str(bucket),
-                  "codec": codec, "reduce": "%g" % reduce_factor}
-        for search in spec.searches:
-            run = gnat_range_search if search == "gnat" else egnat_range_search
-            yield Variant(
-                index, coords, search,
-                (lambda obj, radius, _tree=tree, _run=run:
-                 _run(_tree, RangeQuery(obj, radius), metric)),
-                tree, tree.build_distance_evals, table_entry_count(tree),
-                table_bytes(tree), elapsed)
+        if index == "lc":
+            for bucket in spec.lc_buckets:
+                yield (index, {**_NO_COORDS, "bucket": str(bucket), "codec": "exact"},
+                       partial(lc_build, database, metric, bucket), ("lc",))
+            continue
+        partitions = spec.partitions
+        if partitions is None:
+            partitions = ("ball",) if index == "gnatty" else ("hyperplane",)
+        if index == "gnatty":
+            arities = [("alpha:%g" % a, PowerArity(a)) for a in spec.alphas]
+        else:
+            arities = [("const:%d" % m, ConstantArity(m)) for m in spec.arity_consts]
+        fp = resolve_fp_params(spec, database) if "fp" in spec.codecs else None
+        for partition, (arity_label, arity), gamma, bucket, codec, factor in itertools.product(
+                partitions, arities, spec.gammas, spec.buckets, spec.codecs, spec.reduces):
+            config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
+                                 bucket_size=bucket, reduce_factor=factor,
+                                 fixed_point=fp if codec == "fp" else None, seed=seed)
+            coords = {"partition": partition, "arity": arity_label, "gamma": "%g" % gamma,
+                      "bucket": str(bucket), "codec": codec, "reduce": "%g" % factor}
+            yield index, coords, partial(build, database, metric, config), spec.searches
+
+
+def _runner(search: str, structure, database: Dataset, metric: MetricSpace):
+    """callable(obj, radius) -> QueryStats: one search mode over one structure."""
+    if search == "aesa":
+        return lambda obj, radius: aesa_range_search(structure, database,
+                                                     RangeQuery(obj, radius), metric)
+    run = {"gnat": gnat_range_search, "egnat": egnat_range_search, "lc": lc_range_search}[search]
+    return lambda obj, radius: run(structure, RangeQuery(obj, radius), metric)
+
+
+def _size(structure) -> tuple[int, float]:
+    """(table entries, table bytes); the flat baselines store 4-byte reals."""
+    if isinstance(structure, GnatTree):
+        return table_entry_count(structure), table_bytes(structure)
+    entries = (len(structure.entries) if isinstance(structure, AesaMatrix)
+               else lc_stored_reals(structure))
+    return entries, entries * 4.0
 
 
 def build_variants(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int):
     """Build every structure in the grid; infeasible cells are logged and skipped."""
-    for index in spec.indexes:
-        if index in ("gnatty", "gnat"):
-            yield from _tree_variants(index, spec, database, metric, seed)
-        elif index == "aesa":
+    for index, coords, make, searches in _cells(spec, database, metric, seed):
+        try:
             started = time.perf_counter()
-            matrix = aesa_build(database, metric)
+            structure = make()
             elapsed = time.perf_counter() - started
-            coords = {"partition": "", "arity": "", "gamma": "", "bucket": "",
-                      "codec": "exact", "reduce": ""}
-            yield Variant(
-                "aesa", coords, "aesa",
-                (lambda obj, radius, _m=matrix:
-                 aesa_range_search(_m, database, RangeQuery(obj, radius), metric)),
-                matrix, matrix.build_distance_evals, len(matrix.entries),
-                len(matrix.entries) * 4.0, elapsed)
-        elif index == "lc":
-            for lc_bucket in spec.lc_buckets:
-                try:
-                    started = time.perf_counter()
-                    clusters = lc_build(database, metric, lc_bucket)
-                    elapsed = time.perf_counter() - started
-                except ConfigError as exc:
-                    log.warning("skipping infeasible lc cell: %s", exc)
-                    continue
-                coords = {"partition": "", "arity": "", "gamma": "",
-                          "bucket": str(lc_bucket), "codec": "exact", "reduce": ""}
-                yield Variant(
-                    "lc", coords, "lc",
-                    (lambda obj, radius, _c=clusters:
-                     lc_range_search(_c, RangeQuery(obj, radius), metric)),
-                    clusters, clusters.build_distance_evals, lc_stored_reals(clusters),
-                    lc_stored_reals(clusters) * 4.0, elapsed)
-        else:
-            raise ConfigError(f"unknown index {index!r}")
+        except ConfigError as exc:
+            log.warning("skipping infeasible %s cell: %s", index, exc)
+            continue
+        runners = {search: _runner(search, structure, database, metric) for search in searches}
+        yield Variant(index, coords, runners, structure, structure.build_distance_evals,
+                      *_size(structure), elapsed)
 
 
-def _radius_specs(spec: ExperimentSpec):
-    specs = [("r", r) for r in spec.radii] + [("k", k) for k in spec.target_ks]
-    if not specs:
+def sweep(spec: ExperimentSpec, calibrate: bool = True):
+    """The one path of every harness command.  Yields per seed
+    (seed, queries, database, source, metric, workloads, variants):
+    workloads are (radius mode, value, per-query radii) triples, and the
+    variants are built one at a time as they are consumed.
+
+    A workload that cannot be calibrated on this data is skipped with a
+    warning.  With calibrate=False no workload is asked for or computed.
+    """
+    validate_spec(spec)
+    radius_specs = [("r", r) for r in spec.radii] + [("k", k) for k in spec.target_ks]
+    if calibrate and not radius_specs:
         raise ConfigError("need at least one radius or target neighbor count")
-    return specs
-
-
-def _per_query_radii(mode, value, queries, database, metric):
-    if mode == "r":
-        return [float(value)] * len(queries)
-    return [calibrate_radius(database, metric, obj, int(value)) for obj in queries]
+    for seed in spec.seeds:
+        queries, database, source = prepare_workload(spec, seed)
+        metric = metric_by_name(spec.metric)
+        workloads = []
+        for mode, value in radius_specs if calibrate else ():
+            try:
+                radii = [float(value)] * len(queries) if mode == "r" else [
+                    calibrate_radius(database, metric, obj, int(value)) for obj in queries]
+            except ConfigError as exc:
+                log.warning("skipping %s=%s workload: %s", mode, value, exc)
+                continue
+            workloads.append((mode, value, radii))
+        yield (seed, queries, database, source, metric, workloads,
+               build_variants(spec, database, metric, seed))
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -327,46 +340,28 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     Deterministic per seed: all randomness flows from the spec seeds, and
     query radii are calibrated identically for every variant.
     """
-    validate_spec(spec)
     rows: list[ResultRow] = []
-    radius_specs = _radius_specs(spec)
-    for seed in spec.seeds:
-        queries, database, source = prepare_workload(spec, seed)
-        metric = metric_by_name(spec.metric)
-        dim = database.dim or 0
-        radii_cache = {}
-        for mode, value in radius_specs:
-            try:
-                radii_cache[(mode, value)] = _per_query_radii(mode, value, queries,
-                                                              database, metric)
-            except ConfigError as exc:
-                log.warning("skipping %s=%s workload: %s", mode, value, exc)
-        for variant in build_variants(spec, database, metric, seed):
-            for mode, value in radius_specs:
-                if (mode, value) not in radii_cache:
-                    continue
-                radii = radii_cache[(mode, value)]
-                evals = []
-                sizes = []
-                started = time.perf_counter()
-                for obj, radius in zip(queries, radii):
-                    stats = variant.runner(obj, radius)
-                    evals.append(stats.distance_evals)
-                    sizes.append(len(stats.results))
-                elapsed = time.perf_counter() - started
-                rows.append(ResultRow(
-                    index=variant.index, metric=spec.metric, source=source,
-                    n=len(database), dim=dim, queries=len(queries), seed=seed,
-                    search=variant.search, radius_mode=mode,
-                    radius_param="%g" % value,
-                    mean_radius=statistics.fmean(radii) if radii else 0.0,
-                    build_distance_evals=variant.build_distance_evals,
-                    entries=variant.entries, table_bytes=variant.bytes,
-                    mean_distance_evals=statistics.fmean(evals) if evals else 0.0,
-                    median_distance_evals=float(statistics.median(evals)) if evals else 0.0,
-                    mean_result_size=statistics.fmean(sizes) if sizes else 0.0,
-                    build_seconds=variant.build_seconds, query_seconds=elapsed,
-                    **variant.coords))
+    for seed, queries, database, source, _, workloads, variants in sweep(spec):
+        for variant in variants:
+            for search, runner in variant.runners.items():
+                for mode, value, radii in workloads:
+                    started = time.perf_counter()
+                    answers = [runner(obj, radius) for obj, radius in zip(queries, radii)]
+                    elapsed = time.perf_counter() - started
+                    evals = [stats.distance_evals for stats in answers]
+                    sizes = [len(stats.results) for stats in answers]
+                    rows.append(ResultRow(
+                        index=variant.index, metric=spec.metric, source=source,
+                        n=len(database), dim=database.dim or 0, queries=len(queries), seed=seed,
+                        search=search, radius_mode=mode, radius_param="%g" % value,
+                        mean_radius=statistics.fmean(radii) if radii else 0.0,
+                        build_distance_evals=variant.build_distance_evals,
+                        entries=variant.entries, table_bytes=variant.bytes,
+                        mean_distance_evals=statistics.fmean(evals) if evals else 0.0,
+                        median_distance_evals=float(statistics.median(evals)) if evals else 0.0,
+                        mean_result_size=statistics.fmean(sizes) if sizes else 0.0,
+                        build_seconds=variant.build_seconds, query_seconds=elapsed,
+                        **variant.coords))
     return rows
 
 
@@ -374,34 +369,20 @@ def oracle_check(spec: ExperimentSpec) -> list[str]:
     """Compare every grid variant against the linear-scan oracle.
 
     Returns the labels of variants that disagreed on any query (empty
-    list means everything is exact).
+    list means everything is exact).  Each query's scan runs once and
+    serves every variant.
     """
-    validate_spec(spec)
     failures: list[str] = []
-    radius_specs = _radius_specs(spec)
-    for seed in spec.seeds:
-        queries, database, source = prepare_workload(spec, seed)
-        metric = metric_by_name(spec.metric)
-        workloads = []
-        for mode, value in radius_specs:
-            try:
-                radii = _per_query_radii(mode, value, queries, database, metric)
-            except ConfigError as exc:
-                log.warning("skipping %s=%s workload: %s", mode, value, exc)
-                continue
-            expected = [linear_scan_range(database, obj, radius, metric)
-                        for obj, radius in zip(queries, radii)]
-            workloads.append((mode, value, radii, expected))
-        for variant in build_variants(spec, database, metric, seed):
-            for mode, value, radii, expected in workloads:
-                ok = True
-                for obj, radius, want in zip(queries, radii, expected):
-                    got = variant.runner(obj, radius).results
-                    if got != want:
-                        ok = False
-                        break
-                if not ok:
-                    failures.append(f"seed={seed} {mode}={value} {variant.label}")
+    for seed, queries, database, _, metric, workloads, variants in sweep(spec):
+        expected = [[linear_scan_range(database, obj, radius, metric)
+                     for obj, radius in zip(queries, radii)] for _, _, radii in workloads]
+        for variant in variants:
+            for search, runner in variant.runners.items():
+                for (mode, value, radii), want in zip(workloads, expected):
+                    if any(runner(obj, radius).results != w
+                           for obj, radius, w in zip(queries, radii, want)):
+                        failures.append(f"seed={seed} {mode}={value} {variant.label} "
+                                        f"search={search}")
     return failures
 
 

@@ -15,8 +15,8 @@ import argparse
 import logging
 import sys
 
-from .bench import (ExperimentSpec, build_variants, emit_csv, metric_by_name,
-                    oracle_check, prepare_workload, run_experiment, validate_spec)
+from .bench import (CODECS, INDEXES, SEARCHES, ExperimentSpec, emit_csv, oracle_check,
+                    run_experiment, sweep)
 from .errors import ConfigError, DatasetFormatError, OracleMismatchError
 from .tree import GnatTree
 from .treefile import save_tree
@@ -48,8 +48,7 @@ def _add_common(parser) -> None:
     data.add_argument("--seed", type=int, nargs="+", default=[0])
 
     grid = parser.add_argument_group("index grid")
-    grid.add_argument("--index", nargs="+", default=["gnatty"],
-                      choices=["gnatty", "gnat", "aesa", "lc"])
+    grid.add_argument("--index", nargs="+", default=["gnatty"], choices=INDEXES)
     grid.add_argument("--partition", nargs="+", choices=["hyperplane", "ball"],
                       help="default: ball for gnatty, hyperplane for gnat")
     grid.add_argument("--alpha", type=float, nargs="+", default=[0.5],
@@ -60,7 +59,7 @@ def _add_common(parser) -> None:
                       help="ball capacity exponents")
     grid.add_argument("--bucket", type=int, nargs="+", default=[0],
                       help="leaf bucket sizes (0 builds the whole way down)")
-    grid.add_argument("--codec", nargs="+", choices=["exact", "fp"], default=["exact"])
+    grid.add_argument("--codec", nargs="+", choices=CODECS, default=["exact"])
     grid.add_argument("--fp-bits", type=int, help="fixed-point bits per value (default 8)")
     grid.add_argument("--fp-mag", type=int, help="fixed-point magnitude bits (default 2)")
     grid.add_argument("--beta", type=float, help="fixed-point power transform (default 1/5)")
@@ -69,7 +68,7 @@ def _add_common(parser) -> None:
     grid.add_argument("--lc-bucket", type=int, nargs="+", default=[32])
 
     work = parser.add_argument_group("workload")
-    work.add_argument("--search", nargs="+", choices=["gnat", "egnat"], default=["gnat"])
+    work.add_argument("--search", nargs="+", choices=SEARCHES, default=["gnat"])
     work.add_argument("--radius", type=float, nargs="+", default=[],
                       help="absolute query radii")
     work.add_argument("--target-k", type=int, nargs="+", default=[],
@@ -94,19 +93,10 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def _cmd_build(args) -> int:
-    spec = _spec_from_args(args)
-    validate_spec(spec)
     trees = []
-    for seed in spec.seeds:
-        _, database, _ = prepare_workload(spec, seed)
-        metric = metric_by_name(spec.metric)
-        printed = set()
-        for variant in build_variants(spec, database, metric, seed):
-            key = variant.label.rsplit(" search=", 1)[0]
-            if key in printed:
-                continue  # search modes share one structure
-            printed.add(key)
-            print(f"{key} seed={seed}: build_evals={variant.build_distance_evals} "
+    for seed, *_, variants in sweep(_spec_from_args(args), calibrate=False):
+        for variant in variants:
+            print(f"{variant.label} seed={seed}: build_evals={variant.build_distance_evals} "
                   f"entries={variant.entries} bytes={variant.bytes:.0f} "
                   f"build_seconds={variant.build_seconds:.3f}")
             if isinstance(variant.structure, GnatTree):

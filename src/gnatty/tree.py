@@ -97,10 +97,6 @@ class RangeTable:
         self._decoded = None
 
     @property
-    def rows(self) -> int:
-        return self.lo.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.lo.shape[1]
 

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from gnatty import bench, search
 from gnatty import (ConfigError, Dataset, EuclideanMetric, ExperimentSpec,
                     calibrate_radius, emit_csv, find_equal_memory_arity,
                     generate_uniform_vectors, linear_scan_range, oracle_check,
@@ -148,6 +149,44 @@ def test_oracle_check_passes_on_grid():
                           reduces=(1.0, 2.0), searches=("gnat", "egnat"),
                           target_ks=(5,), lc_buckets=(10,))
     assert oracle_check(spec) == []
+
+
+def test_oracle_check_reports_injected_fault(monkeypatch):
+    # egnat drops one result of every query; gnat, AESA and LC stay exact
+    real = search._range_search
+
+    def lossy(tree, query, metric, egnat):
+        stats = real(tree, query, metric, egnat)
+        if egnat:
+            stats.results.pop()
+        return stats
+
+    monkeypatch.setattr(search, "_range_search", lossy)
+    spec = ExperimentSpec(n=160, dim=4, queries=10, seeds=(0, 1),
+                          indexes=("gnatty", "aesa", "lc"), codecs=("exact", "fp"),
+                          searches=("gnat", "egnat"), target_ks=(5,), lc_buckets=(10,))
+    assert oracle_check(spec) == [
+        f"seed={seed} k=5 gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 "
+        f"codec={codec} reduce=1 search=egnat"
+        for seed in (0, 1) for codec in ("exact", "fp")]
+
+
+def test_oracle_check_scans_each_query_once(monkeypatch):
+    # one linear scan per (seed, calibrated workload, query), however many
+    # variants and search modes share it; the infeasible k=5000 workload is skipped
+    calls = []
+
+    def counting(database, obj, radius, metric):
+        calls.append(radius)
+        return linear_scan_range(database, obj, radius, metric)
+
+    monkeypatch.setattr(bench, "linear_scan_range", counting)
+    spec = ExperimentSpec(n=160, dim=4, queries=10, seeds=(0, 1),
+                          indexes=("gnatty", "gnat", "aesa", "lc"), codecs=("exact", "fp"),
+                          searches=("gnat", "egnat"), target_ks=(5, 5000), radii=(0.3,),
+                          lc_buckets=(10,))
+    assert oracle_check(spec) == []
+    assert len(calls) == 2 * 2 * 10
 
 
 def test_resolve_fp_params_for_edit():

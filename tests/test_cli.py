@@ -126,6 +126,21 @@ def test_oracle_check_passes(capsys):
     assert "all variants exact" in capsys.readouterr().out
 
 
+def test_build_prints_one_line_per_structure(capsys):
+    # the search modes share each built structure, so they add no lines
+    code = cli.main(["build", *SMALL, "--index", "gnatty", "aesa", "lc",
+                     "--codec", "exact", "fp", "--search", "gnat", "egnat"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 codec=exact reduce=1 seed=0",
+        "gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 codec=fp reduce=1 seed=0",
+        "aesa codec=exact seed=0",
+        "lc bucket=32 codec=exact seed=0",
+    ]
+    assert all(line.split(": ")[1].startswith("build_evals=") for line in lines)
+
+
 def test_oracle_check_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "oracle_check", lambda spec: ["seed=0 k=5 broken-variant"])
     code = cli.main(["oracle-check", *SMALL, "--target-k", "5"])

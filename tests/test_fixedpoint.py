@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gnatty import (ConfigError, FixedPointParams, RangeTable, encode_interval, encode_table,
+from gnatty import (ConfigError, FixedPointParams, RangeTable, encode_table,
                     params_for_integer_range)
-from gnatty.fixedpoint import decode_lut, decoded_floats
+from gnatty.fixedpoint import decode_lut, decoded_floats, encode_interval
 
 Q28 = FixedPointParams(total_bits=8, magnitude_bits=2, beta=1 / 5)
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 import gnatty.tree
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset,
                     DistanceCounter, EuclideanMetric, FixedPointParams, GnatNode,
-                    MetricSpace, PowerArity, arity_for, ball_partition, build,
+                    MetricSpace, PowerArity, ball_partition, build,
                     compute_range_table, encode_table, generate_uniform_vectors,
-                    hyperplane_partition, iter_nodes, select_pivots,
+                    hyperplane_partition, iter_nodes,
                     table_bytes, table_entry_count, with_fixed_point)
 from gnatty.datasets import rng_stream
-from gnatty.tree import ball_capacity, node_distances
+from gnatty.tree import arity_for, ball_capacity, node_distances, select_pivots
 
 EUCLID = EuclideanMetric()
 
@@ -402,7 +402,7 @@ def test_reduced_tables_shape():
     for node in iter_nodes(tree.root):
         m = len(node.centers)
         assert len(node.measuring_set) == math.ceil(m / 2.0)
-        assert node.table.rows == len(node.measuring_set)
+        assert node.table.lo.shape[0] == len(node.measuring_set)
         assert node.table.cols == m
         assert node.measuring_set == sorted(node.measuring_set)
 
@@ -467,7 +467,7 @@ def test_table_soundness_exact_and_fixed_point():
     # decoded fixed-point bounds must bracket the exact ones
     for node, fp_node in zip(iter_nodes(tree.root), iter_nodes(fp_tree.root)):
         lo_f, hi_f = fp_node.table.decoded_bounds()
-        for i in range(node.table.rows):
+        for i in range(node.table.lo.shape[0]):
             for j in range(node.table.cols):
                 assert lo_f[i][j] <= node.table.lo[i, j] + 1e-12
                 assert hi_f[i][j] >= node.table.hi[i, j] - 1e-12
