@@ -34,16 +34,6 @@ class AesaMatrix:
         self.offsets = i * n - i * (i + 1) // 2 - i - 1
         self.build_distance_evals = build_distance_evals
 
-    def row(self, u: int) -> np.ndarray:
-        """Distances from object u to all objects (row[u] = 0)."""
-        n = self.n
-        out = np.empty(n, dtype=np.float64)
-        out[u] = 0.0
-        start = self.offsets[u]
-        out[u + 1:] = self.entries[start + u + 1:start + n]
-        out[:u] = self.entries[self.offsets[:u] + u]
-        return out
-
 
 def aesa_build(dataset: Dataset, metric: MetricSpace) -> AesaMatrix:
     """Precompute all n(n-1)/2 pairwise distances, one batched row at a time;

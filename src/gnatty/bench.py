@@ -387,25 +387,23 @@ def oracle_check(spec: ExperimentSpec) -> list[str]:
 
 
 def find_equal_memory_arity(database: Dataset, metric: MetricSpace, target_entries: int,
-                            partition: str = "hyperplane", gamma: float = 0.9,
-                            seed: int = 0, max_m: int | None = None) -> tuple[int, int]:
-    """Constant arity whose tree stores a table-entry count closest to the
-    target (used for equal-memory comparisons against variable-arity trees).
+                            seed: int = 0) -> tuple[int, int]:
+    """Constant arity whose hyperplane tree stores a table-entry count
+    closest to the target (used for equal-memory comparisons against
+    variable-arity trees).
 
     Entry counts grow with m, so a binary search over [2, n] suffices;
     both the arity and its achieved entry count are returned rather than
     pretending the match is exact.
     """
-    n = len(database)
-    hi = min(max_m or n, n)
+    hi = len(database)
     if hi < 2:
         raise ConfigError("database too small for a constant-arity tree")
     cache: dict[int, int] = {}
 
     def entries(m: int) -> int:
         if m not in cache:
-            config = BuildConfig(arity=ConstantArity(m), partition=partition,
-                                 gamma=gamma, seed=seed)
+            config = BuildConfig(arity=ConstantArity(m), seed=seed)
             cache[m] = table_entry_count(build(database, metric, config))
         return cache[m]
 

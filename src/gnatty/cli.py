@@ -18,7 +18,8 @@ import sys
 from .bench import (CODECS, INDEXES, SEARCHES, ExperimentSpec, emit_csv, oracle_check,
                     run_experiment, sweep)
 from .errors import ConfigError, DatasetFormatError, OracleMismatchError
-from .tree import GnatTree
+from .metrics import METRICS
+from .tree import PARTITIONS, GnatTree
 from .treefile import save_tree
 
 EXIT_OK = 0
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser) -> None:
     data = parser.add_argument_group("dataset")
     data.add_argument("--dataset", help="dataset file; omit for synthetic data")
-    data.add_argument("--metric", choices=["euclidean", "edit"], default="euclidean")
+    data.add_argument("--metric", choices=list(METRICS), default="euclidean")
     data.add_argument("--n", type=int, default=2000,
                       help="synthetic: total objects (queries are split out of these)")
     data.add_argument("--dim", type=int, default=10, help="synthetic vectors: dimension")
@@ -49,7 +50,7 @@ def _add_common(parser) -> None:
 
     grid = parser.add_argument_group("index grid")
     grid.add_argument("--index", nargs="+", default=["gnatty"], choices=INDEXES)
-    grid.add_argument("--partition", nargs="+", choices=["hyperplane", "ball"],
+    grid.add_argument("--partition", nargs="+", choices=PARTITIONS,
                       help="default: ball for gnatty, hyperplane for gnat")
     grid.add_argument("--alpha", type=float, nargs="+", default=[0.5],
                       help="gnatty arity exponents")

@@ -72,15 +72,12 @@ def encode_interval(lo, hi, params: FixedPointParams):
     The lo code is the largest code that decodes to <= lo; the hi code is
     the smallest code that decodes to > hi, clamped to max_code.  A
     clamped hi code is saturated: it decodes to <= hi, and encode_table
-    flags its table.  Scalars give a pair of ints, arrays a pair of
-    integer arrays of the same shape.
+    flags its table.  lo and hi are float arrays; the codes are integer
+    arrays of the same shape.
     """
     lut = decode_lut(params)
-    lo_code = np.searchsorted(lut, lo, "right") - 1
-    hi_code = np.minimum(np.searchsorted(lut, hi, "right"), params.max_code)
-    if np.ndim(lo_code) == 0:
-        return int(lo_code), int(hi_code)
-    return lo_code, hi_code
+    return (np.searchsorted(lut, lo, "right") - 1,
+            np.minimum(np.searchsorted(lut, hi, "right"), params.max_code))
 
 
 @lru_cache(maxsize=32)

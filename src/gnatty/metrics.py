@@ -116,7 +116,7 @@ class DistanceCounter(MetricSpace):
         return self._fns(a, objs)
 
 
-_METRICS = {
+METRICS = {
     "euclidean": EuclideanMetric,
     "edit": EditDistanceMetric,
 }
@@ -124,6 +124,6 @@ _METRICS = {
 
 def metric_by_name(name: str) -> MetricSpace:
     try:
-        return _METRICS[name]()
+        return METRICS[name]()
     except KeyError:
-        raise ConfigError(f"unknown metric {name!r}; choose from {sorted(_METRICS)}") from None
+        raise ConfigError(f"unknown metric {name!r}; choose from {sorted(METRICS)}") from None

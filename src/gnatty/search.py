@@ -64,15 +64,15 @@ def _search_root(tree: GnatTree):
     query and cached on the tree.
 
     An internal node's record is the tuple (centers, measuring, lo_rows,
-    hi_rows, rows, children): the node's center ids and measuring set, its
-    table's decoded_bounds() row lists (the same lists, not copies, except
-    that lower bounds are copied with inf made FLOAT_MAX where any is), rows,
-    which maps a center position to its table row (None for a center
-    without one) when tables are reduced and is None otherwise, and one
-    entry per child.  A child entry is None for an empty bucket, the id of
-    a one-object bucket, the id list of a larger bucket, or the child's
-    record.  Records are built in pre-order, the order the tree was built
-    and is searched in, by an explicit stack, so any depth works.
+    hi_rows, children): the node's center ids and measuring set, its
+    table's decoded_bounds() rows laid out by center position (lo_rows[pos]
+    is the row of center pos, None for a center without one; the rows are
+    the same lists, not copies, except that a lower-bound row holding inf
+    is copied with inf made FLOAT_MAX), and one entry per child.  A child
+    entry is None for an empty bucket, the id of a one-object bucket, the
+    id list of a larger bucket, or the child's record.  Records are built
+    in pre-order, the order the tree was built and is searched in, by an
+    explicit stack, so any depth works.
     """
     if tree.search_root is None:
         top = [None]
@@ -86,16 +86,14 @@ def _search_root(tree: GnatTree):
             centers = node.centers
             m = len(centers)
             measuring = node.measuring_set
-            rows = None
-            if len(measuring) != m:
-                rows = [None] * m
-                for row, pos in enumerate(measuring):
-                    rows[pos] = row
             children = [None] * m
-            lo_rows, hi_rows = node.table.decoded_bounds()
-            if any(math.inf in lo_row for lo_row in lo_rows):
-                lo_rows = [[min(lo, FLOAT_MAX) for lo in lo_row] for lo_row in lo_rows]
-            parent[slot] = (centers, measuring, lo_rows, hi_rows, rows, children)
+            lo_rows, hi_rows = [None] * m, [None] * m
+            for pos, lo_row, hi_row in zip(measuring, *node.table.decoded_bounds()):
+                if math.inf in lo_row:
+                    lo_row = [min(lo, FLOAT_MAX) for lo in lo_row]
+                lo_rows[pos] = lo_row
+                hi_rows[pos] = hi_row
+            parent[slot] = (centers, measuring, lo_rows, hi_rows, children)
             # reversed, so that the first child comes off the stack first
             stack += zip(reversed(node.children), repeat(children), reversed(range(m)))
         tree.search_root = top[0]
@@ -149,7 +147,7 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                     results.add(oid)
             continue
         visited += 1
-        centers, measuring, lo_rows, hi_rows, rows, children = node
+        centers, measuring, lo_rows, hi_rows, children = node
         m = len(centers)
         if egnat:
             evals += m
@@ -160,12 +158,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 measured.append(e)
                 if e <= r:
                     results.add(c)
-            row = 0
-            best = math.inf
-            for i, pos in enumerate(measuring):  # the first minimum
-                if measured[pos] < best:
-                    best = measured[pos]
-                    row = i
+            row = min(measuring, key=measured.__getitem__)  # the first minimum
+            best = measured[row]
             if best > FLOAT_MAX:
                 best = FLOAT_MAX
             e_hi = best - r
@@ -180,7 +174,6 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             continue
         lower = [0.0] * m
         pos = measuring[0]
-        row = 0
         opened = list(range(m))
         del opened[pos]
         entered = []
@@ -192,8 +185,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 results.add(c)
             if e > FLOAT_MAX:
                 e = FLOAT_MAX
-            lo_row = lo_rows[row]
-            hi_row = hi_rows[row]
+            lo_row = lo_rows[pos]
+            hi_row = hi_rows[pos]
             e_hi = e - r                      # eliminate when e - r > hi
             e_lo = e + r                      # eliminate when e + r < lo
             if children[pos] is not None:     # the pivot's own column
@@ -213,7 +206,7 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 lb = lower[j]
                 if gap > lb:
                     lower[j] = lb = gap
-                if lb < best and (rows is None or rows[j] is not None):
+                if lb < best and lo_rows[j] is not None:
                     best = lb
                     nxt = len(kept)
                 kept.append(j)
@@ -221,7 +214,6 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             if nxt < 0:
                 break
             pos = opened.pop(nxt)
-            row = pos if rows is None else rows[pos]
         for pos in opened:  # reduced tables: survivors without a table row
             evals += 1
             entered.append(pos)
@@ -299,7 +291,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     heapreplace(heap, item)
                     radius = -heap[0][0]
             continue
-        centers, measuring, lo_rows, hi_rows, rows, children = node
+        centers, measuring, lo_rows, hi_rows, children = node
         m = len(centers)
         if egnat:
             evals += m
@@ -311,12 +303,8 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 if d <= radius and (item := (-d, -c)) > heap[0]:
                     heapreplace(heap, item)
                     radius = -heap[0][0]
-            row = 0
-            e = math.inf
-            for i, pos in enumerate(measuring):  # the first minimum
-                if measured[pos] < e:
-                    e = measured[pos]
-                    row = i
+            row = min(measuring, key=measured.__getitem__)  # the first minimum
+            e = measured[row]
             if e > FLOAT_MAX:
                 e = FLOAT_MAX
             e_hi = e - radius
@@ -330,7 +318,6 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
         else:
             lower = [0.0] * m
             pos = measuring[0]
-            row = 0
             opened = list(range(m))
             del opened[pos]
             entered = []
@@ -343,8 +330,8 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     radius = -heap[0][0]
                 if e > FLOAT_MAX:
                     e = FLOAT_MAX
-                lo_row = lo_rows[row]
-                hi_row = hi_rows[row]
+                lo_row = lo_rows[pos]
+                hi_row = hi_rows[pos]
                 e_hi = e - radius
                 e_lo = e + radius
                 if children[pos] is not None:  # the pivot's own column
@@ -368,7 +355,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     lb = lower[j]
                     if gap > lb:
                         lower[j] = lb = gap
-                    if rows is None or rows[j] is not None:
+                    if lo_rows[j] is not None:
                         if lb > radius:
                             continue
                         if lb < best:
@@ -379,7 +366,6 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 if nxt < 0:
                     break
                 pos = opened.pop(nxt)
-                row = pos if rows is None else rows[pos]
             for pos in opened:  # reduced tables: open centers without a row
                 if lower[pos] > radius:
                     continue

@@ -53,6 +53,8 @@ class PowerArity:
 
 ArityPolicy = ConstantArity | PowerArity
 
+PARTITIONS = ("hyperplane", "ball")
+
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -65,7 +67,7 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.partition not in ("hyperplane", "ball"):
+        if self.partition not in PARTITIONS:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
@@ -95,10 +97,6 @@ class RangeTable:
         self.fixed_point = fixed_point
         self.hi_saturated = hi_saturated
         self._decoded = None
-
-    @property
-    def cols(self) -> int:
-        return self.lo.shape[1]
 
     @property
     def entry_count(self) -> int:
@@ -139,7 +137,8 @@ class Bucket:
     """Leaf holding raw object ids, scanned linearly at query time.
 
     Nodes are not modified once built: a tree's search records share
-    their lists (see ``GnatTree.search_root``)."""
+    their lists (see ``GnatTree.search_root``), and its fixed-point twin
+    shares the buckets themselves (see ``with_fixed_point``)."""
 
     object_ids: list[int]
 
@@ -169,16 +168,12 @@ class GnatTree:
 def arity_for(node_size: int, policy: ArityPolicy) -> int:
     """Center count for a node with node_size objects.
 
-    Power arities round n**alpha to nearest and clamp to [2, n]; nodes with
-    fewer than 2 objects keep their size (the builder turns them into
-    leaves before this matters).
+    Power arities round n**alpha to nearest and clamp to [2, n].  Only
+    nodes with at least 2 objects get centers; build turns smaller
+    ones into buckets.
     """
-    if node_size < 1:
-        raise ConfigError(f"node size must be >= 1, got {node_size}")
     if isinstance(policy, ConstantArity):
         return min(policy.m, node_size)
-    if node_size < 2:
-        return node_size
     return max(2, min(node_size, int(node_size**policy.alpha + 0.5)))
 
 
@@ -187,10 +182,8 @@ def select_pivots(object_ids, m: int, rng: np.random.Generator) -> list[int]:
 
     The sampled set is returned sorted ascending, which makes the lowest
     center position coincide with the lowest object id everywhere
-    tie-breaking matters.
+    tie-breaking matters.  m is at most len(object_ids).
     """
-    if m > len(object_ids):
-        raise ValueError(f"cannot select {m} pivots from {len(object_ids)} objects")
     picked = rng.choice(len(object_ids), size=m, replace=False)
     return sorted(object_ids[i] for i in picked)
 
@@ -245,8 +238,6 @@ def hyperplane_partition(object_ids, center_ids, known, dataset: Dataset,
 
 def ball_capacity(object_count: int, m: int, gamma: float) -> int:
     """Per-ball capacity: ceil(object_count**gamma / m), at least 1."""
-    if object_count == 0:
-        return 1
     return max(1, math.ceil(object_count**gamma / m))
 
 
@@ -347,10 +338,14 @@ def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTre
     Splitting stops at a bucket once a node's object count drops to
     bucket_size (or to a single object when bucket_size is 0).  Every
     object ends up in exactly one place: a center of one internal node or
-    a member of one bucket.
+    a member of one bucket.  A fixed-point tree is the with_fixed_point
+    twin of the exact tree of the same config.
     """
     if len(dataset) == 0:
         raise ConfigError("cannot build an index over an empty dataset")
+    if config.fixed_point is not None:
+        exact = build(dataset, metric, dataclasses.replace(config, fixed_point=None))
+        return with_fixed_point(exact, config.fixed_point)
     counter = DistanceCounter(metric)
     pivot_rng = rng_stream(config.seed, "pivots")
     reduce_rng = rng_stream(config.seed, "reduce")
@@ -393,8 +388,6 @@ def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
             partitions = hyperplane_partition(rest, centers, known, dataset, metric)
         table = compute_range_table(dist, centers, partitions, rest)
         del dist, known  # the children need none of this node's distances
-        if config.fixed_point is not None:
-            table = encode_table(table, config.fixed_point)
         node = GnatNode(centers, table, [None] * m, positions)
         siblings[slot] = node
         stack.extend((partitions[j], node.children, j) for j in reversed(range(m)))
@@ -402,26 +395,24 @@ def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
 
 
 def with_fixed_point(tree: GnatTree, params: FixedPointParams) -> GnatTree:
-    """Same tree shape with tables re-encoded in fixed point.
+    """Same tree shape with tables encoded in fixed point.
 
-    Useful for paired comparisons: the twin is guaranteed to differ only
-    in table storage, never in structure.
+    Useful for paired comparisons: the twin differs only in table
+    storage, never in structure.  Nodes are not modified once built, so
+    the twin shares the tree's buckets, center lists and measuring sets;
+    only the internal nodes and their tables are new.
     """
     if tree.config.fixed_point is not None:
         raise ConfigError("tree tables are already fixed-point encoded")
-    top = [None]
-    stack = [(tree.root, top, 0)]  # pre-order, as _build_node, at any depth
-    while stack:
-        node, siblings, slot = stack.pop()
-        if isinstance(node, Bucket):
-            siblings[slot] = Bucket(list(node.object_ids))
-            continue
-        twin = GnatNode(list(node.centers), encode_table(node.table, params),
-                        [None] * len(node.children), list(node.measuring_set))
-        siblings[slot] = twin
-        stack.extend((node.children[j], twin.children, j)
-                     for j in reversed(range(len(node.children))))
-    return GnatTree(top[0], dataclasses.replace(tree.config, fixed_point=params),
+    twins = []
+    # in reversed pre-order a node comes after its subtrees, and the twins
+    # of its internal children are on top of twins, the first child's topmost
+    for node in reversed(list(iter_nodes(tree.root))):
+        children = [c if isinstance(c, Bucket) else twins.pop() for c in node.children]
+        twins.append(GnatNode(node.centers, encode_table(node.table, params), children,
+                              node.measuring_set))
+    return GnatTree(twins.pop() if twins else tree.root,
+                    dataclasses.replace(tree.config, fixed_point=params),
                     tree.dataset, tree.size, tree.build_distance_evals)
 
 

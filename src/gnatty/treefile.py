@@ -2,7 +2,7 @@
 
 Layout (little endian): magic ``GNTF``, u32 version, a length-prefixed
 JSON echo of the build config, u64 object count, then pre-order node
-records.  Fixed-point tables round-trip as their stored codes; nothing is
+records, which end the file.  Fixed-point tables round-trip as their stored codes; nothing is
 re-encoded on load.  The dataset itself is not stored, the caller supplies
 it again (object count is checked).
 """
@@ -184,4 +184,6 @@ def load_tree(path, dataset: Dataset) -> GnatTree:
         raise ConfigError(
             f"{path}: tree was built over {size} objects, dataset has {len(dataset)}")
     root = _read_node(reader, config.fixed_point, size)
+    if reader.pos != len(blob):
+        raise ConfigError(f"{path}: {len(blob) - reader.pos} trailing bytes after the tree")
     return GnatTree(root, config, dataset, size)

@@ -278,6 +278,19 @@ def test_overflowing_distances_stay_exact(partition, m):
                 assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
 
 
+def test_nearest_pivot_row_when_every_center_distance_overflows():
+    # every distance from the query to a center overflows, so no measuring
+    # center is nearer than another; the first measuring center's row must
+    # prune, since center 0 has no row here
+    ds = Dataset([(1e308 - i * 1e306,) for i in range(12)])
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), reduce_factor=2.0, seed=2))
+    assert tree.root.measuring_set == [1, 3]
+    q = (-1e308,)
+    assert egnat_range_search(tree, RangeQuery(q, 1e300), EUCLID).results == \
+        linear_scan_range(ds, q, 1e300, EUCLID)
+    assert knn_search(tree, q, 3, EUCLID, "egnat")[0] == linear_scan_knn(ds, q, 3, EUCLID)
+
+
 # ---------------------------------------------------------------- kNN
 
 

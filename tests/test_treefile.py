@@ -96,6 +96,17 @@ def test_bad_magic_and_truncation(tmp_path):
         load_tree(tmp_path / "cut.gnt", ds)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    ds = generate_uniform_vectors(30, 3, seed=1)
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), seed=1))
+    path = tmp_path / "tree.gnt"
+    save_tree(tree, path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ConfigError, match="trailing bytes") as err:
+        load_tree(path, ds)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("config_blob", [b"{", b"[]", b'{"arity": 1}', b"\xff"])
 def test_corrupt_config_json(tmp_path, config_blob):
     ds = generate_uniform_vectors(30, 3, seed=1)
