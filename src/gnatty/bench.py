@@ -27,7 +27,7 @@ from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
 from .errors import ConfigError
 from .fixedpoint import FixedPointParams, params_for_integer_range
 from .metrics import MetricSpace, metric_by_name
-from .search import RangeQuery, egnat_range_search, gnat_range_search
+from .search import DISCIPLINES, RangeQuery, egnat_range_search, gnat_range_search
 from .tree import (BuildConfig, ConstantArity, GnatTree, PowerArity, build, nearest_first,
                    table_bytes, table_entry_count)
 
@@ -62,7 +62,7 @@ def calibrate_radius(database: Dataset, metric: MetricSpace, obj, target_k: int)
 # The names a sweep accepts, in the order the CLI lists them
 INDEXES = ("gnatty", "gnat", "aesa", "lc")
 CODECS = ("exact", "fp")
-SEARCHES = ("gnat", "egnat")   # the tree disciplines; AESA and LC run their own
+SEARCHES = DISCIPLINES   # the tree disciplines; AESA and LC run their own
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,8 @@ class Variant:
         return " ".join([self.index] + [f"{k}={v}" for k, v in self.coords.items() if v != ""])
 
 
-def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int):
+def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int,
+           fp: FixedPointParams | None):
     """(index, coords, make, search modes) for every cell of the grid, in
     sweep order; make() builds the cell's structure.  validate_spec has
     checked every BuildConfig field, so only make() can fail."""
@@ -261,7 +262,6 @@ def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: i
             arities = [("alpha:%g" % a, PowerArity(a)) for a in spec.alphas]
         else:
             arities = [("const:%d" % m, ConstantArity(m)) for m in spec.arity_consts]
-        fp = resolve_fp_params(spec, database) if "fp" in spec.codecs else None
         for partition, (arity_label, arity), gamma, bucket, codec, factor in itertools.product(
                 partitions, arities, spec.gammas, spec.buckets, spec.codecs, spec.reduces):
             config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
@@ -290,9 +290,9 @@ def _size(structure) -> tuple[int, float]:
     return entries, entries * 4.0
 
 
-def build_variants(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int):
-    """Build every structure in the grid; infeasible cells are logged and skipped."""
-    for index, coords, make, searches in _cells(spec, database, metric, seed):
+def build_variants(cells, database: Dataset, metric: MetricSpace):
+    """Build the structure of every _cells cell; infeasible cells are logged and skipped."""
+    for index, coords, make, searches in cells:
         try:
             started = time.perf_counter()
             structure = make()
@@ -321,6 +321,7 @@ def sweep(spec: ExperimentSpec, calibrate: bool = True):
     for seed in spec.seeds:
         queries, database, source = prepare_workload(spec, seed)
         metric = metric_by_name(spec.metric)
+        fp = resolve_fp_params(spec, database) if "fp" in spec.codecs else None
         workloads = []
         for mode, value in radius_specs if calibrate else ():
             try:
@@ -331,7 +332,7 @@ def sweep(spec: ExperimentSpec, calibrate: bool = True):
                 continue
             workloads.append((mode, value, radii))
         yield (seed, queries, database, source, metric, workloads,
-               build_variants(spec, database, metric, seed))
+               build_variants(_cells(spec, database, metric, seed, fp), database, metric))
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:

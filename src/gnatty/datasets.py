@@ -131,15 +131,6 @@ def load_strings(path) -> Dataset:
     return Dataset(objects)
 
 
-def save_vectors(dataset: Dataset, path) -> None:
-    """Write a vector dataset in the format load_vectors reads."""
-    dim = dataset.dim or 0
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{dim} {len(dataset)}\n")
-        for obj in dataset:
-            handle.write(" ".join(repr(c) for c in obj) + "\n")
-
-
 def split_queries(dataset: Dataset, q: int, seed: int) -> tuple[Dataset, Dataset]:
     """Split q uniformly chosen objects out as queries, keep the rest as database.
 

@@ -5,9 +5,10 @@ Distance bounds are stored as unsigned b-bit codes.  A code c decodes to
 the codes over a wide dynamic range.  The decode table of every code is
 the codec: a lower bound encodes to the largest code that decodes to at
 most the bound, an upper bound to the smallest code that decodes above
-it, so the decoded interval always contains the true one.  Queries
-therefore stay exact, only pruning power is lost.  No arithmetic is ever
-done in the coded domain, codes are decoded back to floats when consulted.
+it, so the decoded interval always contains the true one: an upper code
+of max_code decodes to +inf.  Queries therefore stay exact, only pruning
+power is lost.  No arithmetic is ever done in the coded domain, codes are
+decoded back to floats when consulted.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def params_for_integer_range(max_value: float, total_bits: int = 8) -> FixedPoin
     """Identity-transform params whose representable range covers max_value.
 
     The natural choice for small-range integer metrics: beta = 1 and just
-    enough magnitude bits that max_value decodes without saturating.
+    enough magnitude bits that decode(max_code) >= max_value.
     """
     if max_value < 0:
         raise ConfigError("max_value must be non-negative")
@@ -70,10 +71,9 @@ def encode_interval(lo, hi, params: FixedPointParams):
     """Encode [lo, hi] as codes by lookup in decode_lut(params).
 
     The lo code is the largest code that decodes to <= lo; the hi code is
-    the smallest code that decodes to > hi, clamped to max_code.  A
-    clamped hi code is saturated: it decodes to <= hi, and encode_table
-    flags its table.  lo and hi are float arrays; the codes are integer
-    arrays of the same shape.
+    the smallest code that decodes to > hi, clamped to max_code, which
+    decodes to +inf as an upper bound (see decoded_floats).  lo and hi are
+    float arrays; the codes are integer arrays of the same shape.
     """
     lut = decode_lut(params)
     return (np.searchsorted(lut, lo, "right") - 1,
@@ -88,12 +88,12 @@ def decode_lut(params: FixedPointParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def decoded_floats(params: FixedPointParams, saturated: bool = False) -> np.ndarray:
+def decoded_floats(params: FixedPointParams, upper: bool = False) -> np.ndarray:
     """decode_lut(params) as an object array of Python floats, so that
     every table decoded with params shares the same 2**total_bits float
-    objects; with saturated, max_code decodes to +inf."""
+    objects; with upper, for upper bounds, max_code decodes to +inf."""
     values = decode_lut(params).tolist()
-    if saturated:
+    if upper:
         values[-1] = math.inf
     floats = np.empty(len(values), dtype=object)
     floats[:] = values

@@ -38,6 +38,8 @@ from .tree import Bucket, GnatTree
 # min(d, FLOAT_MAX), whose query balls contain those of d.
 FLOAT_MAX = sys.float_info.max
 
+DISCIPLINES = ("gnat", "egnat")  # knn_search's modes: multi-pivot, nearest-pivot
+
 
 @dataclass(frozen=True)
 class RangeQuery:
@@ -261,7 +263,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     """
     if not 1 <= k <= tree.size:
         raise ConfigError(f"k must be in [1, {tree.size}], got {k}")
-    if mode not in ("gnat", "egnat"):
+    if mode not in DISCIPLINES:
         raise ConfigError(f"unknown search mode {mode!r}")
     egnat = mode == "egnat"
     stats = QueryStats()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import Dataset, rng_stream
 from .errors import ConfigError
-from .fixedpoint import FixedPointParams, decode_lut, decoded_floats, encode_interval
+from .fixedpoint import FixedPointParams, decoded_floats, encode_interval
 from .metrics import DistanceCounter, MetricSpace
 
 
@@ -81,21 +81,18 @@ class RangeTable:
     """Interval matrix indexed (measuring pivot row, child column).
 
     Exact tables store float64 bounds; fixed-point tables store uint16
-    codes plus the codec params.  When any upper bound saturated during
-    encoding the table carries a flag and saturated codes decode to +inf,
-    which disables upper-bound pruning for those entries but keeps every
-    query exact.
+    codes plus the codec params.  An upper code of max_code decodes to
+    +inf, which disables upper-bound pruning for that entry but keeps
+    every query exact.
     """
 
-    __slots__ = ("lo", "hi", "fixed_point", "hi_saturated", "_decoded")
+    __slots__ = ("lo", "hi", "fixed_point", "_decoded")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray,
-                 fixed_point: FixedPointParams | None = None,
-                 hi_saturated: bool = False):
+                 fixed_point: FixedPointParams | None = None):
         self.lo = lo
         self.hi = hi
         self.fixed_point = fixed_point
-        self.hi_saturated = hi_saturated
         self._decoded = None
 
     @property
@@ -117,7 +114,7 @@ class RangeTable:
             else:
                 # every entry is one of the 2**b shared floats of its code
                 lo = decoded_floats(self.fixed_point)[self.lo]
-                hi = decoded_floats(self.fixed_point, self.hi_saturated)[self.hi]
+                hi = decoded_floats(self.fixed_point, upper=True)[self.hi]
                 self._decoded = (lo.tolist(), hi.tolist())
         return self._decoded
 
@@ -126,7 +123,6 @@ class RangeTable:
             return NotImplemented
         return (
             self.fixed_point == other.fixed_point
-            and self.hi_saturated == other.hi_saturated
             and np.array_equal(self.lo, other.lo)
             and np.array_equal(self.hi, other.hi)
         )
@@ -158,11 +154,14 @@ class GnatTree:
     root: GnatNode | Bucket
     config: BuildConfig
     dataset: Dataset
-    size: int
     build_distance_evals: int = 0
     # gnatty.search's per-node records, built on the first query; a tree
     # is not modified after it is built
     search_root: object = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.dataset)
 
 
 def arity_for(node_size: int, policy: ArityPolicy) -> int:
@@ -326,10 +325,7 @@ def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
     if table.fixed_point is not None:
         raise ConfigError("table is already fixed-point encoded")
     lo_codes, hi_codes = encode_interval(table.lo, table.hi, params)
-    # only a saturated (clamped) hi code fails to decode above its bound
-    saturated = bool((decode_lut(params)[hi_codes] <= table.hi).any())
-    return RangeTable(lo_codes.astype(np.uint16), hi_codes.astype(np.uint16),
-                      fixed_point=params, hi_saturated=saturated)
+    return RangeTable(lo_codes.astype(np.uint16), hi_codes.astype(np.uint16), params)
 
 
 def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTree:
@@ -351,7 +347,7 @@ def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTre
     reduce_rng = rng_stream(config.seed, "reduce")
     root = _build_node(list(range(len(dataset))), dataset, counter, config,
                        pivot_rng, reduce_rng)
-    return GnatTree(root, config, dataset, len(dataset), counter.count)
+    return GnatTree(root, config, dataset, counter.count)
 
 
 def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
@@ -413,7 +409,7 @@ def with_fixed_point(tree: GnatTree, params: FixedPointParams) -> GnatTree:
                               node.measuring_set))
     return GnatTree(twins.pop() if twins else tree.root,
                     dataclasses.replace(tree.config, fixed_point=params),
-                    tree.dataset, tree.size, tree.build_distance_evals)
+                    tree.dataset, tree.build_distance_evals)
 
 
 def iter_nodes(root):

@@ -1,10 +1,12 @@
 """Versioned binary tree files.
 
-Layout (little endian): magic ``GNTF``, u32 version, a length-prefixed
-JSON echo of the build config, u64 object count, then pre-order node
-records, which end the file.  Fixed-point tables round-trip as their stored codes; nothing is
-re-encoded on load.  The dataset itself is not stored, the caller supplies
-it again (object count is checked).
+Layout (little endian): magic ``GNTF``, u32 version (2; others are
+refused), a length-prefixed JSON echo of the build config, u64 object
+count, pre-order node records, then the u32 ``zlib.crc32`` of every byte
+before it.  Every table is in the config's codec, float64 bounds or uint16
+fixed-point codes, and round-trips as stored; nothing is re-encoded on
+load.  The dataset itself is not stored, the caller supplies it again
+(object count is checked).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import zlib
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .fixedpoint import FixedPointParams
 from .tree import Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree, PowerArity, RangeTable
 
 _MAGIC = b"GNTF"
-_VERSION = 1
+_VERSION = 2
 
 _KIND_BUCKET = 0
 _KIND_NODE = 1
@@ -43,10 +46,11 @@ def _config_from_json(raw: bytes) -> BuildConfig:
                           "fixed_point": None if fp is None else FixedPointParams(**fp)})
 
 
-def _write_node(out: list[bytes], root) -> None:
+def _write_node(out: list[bytes], root, fp: FixedPointParams | None, path) -> None:
     """Append the records of root's subtree in pre-order (a node, then each
     child's subtree in turn); an explicit stack keeps deep trees off
-    Python's recursion limit."""
+    Python's recursion limit.  Every table must be in the codec fp."""
+    dtype = np.float64 if fp is None else np.uint16
     stack = [root]
     while stack:
         node = stack.pop()
@@ -55,18 +59,14 @@ def _write_node(out: list[bytes], root) -> None:
             out.append(np.asarray(node.object_ids, dtype=np.uint32).tobytes())
             continue
         table = node.table
+        if table.fixed_point != fp:
+            raise ConfigError(f"{path}: table codec {table.fixed_point} is not the config's {fp}")
         out.append(struct.pack("<BI", _KIND_NODE, len(node.centers)))
         out.append(np.asarray(node.centers, dtype=np.uint32).tobytes())
         out.append(struct.pack("<I", len(node.measuring_set)))
         out.append(np.asarray(node.measuring_set, dtype=np.uint32).tobytes())
-        if table.fixed_point is None:
-            out.append(struct.pack("<BB", 0, 0))
-            out.append(table.lo.astype(np.float64, copy=False).tobytes())
-            out.append(table.hi.astype(np.float64, copy=False).tobytes())
-        else:
-            out.append(struct.pack("<BB", 1, int(table.hi_saturated)))
-            out.append(table.lo.astype(np.uint16, copy=False).tobytes())
-            out.append(table.hi.astype(np.uint16, copy=False).tobytes())
+        out.append(table.lo.astype(dtype, copy=False).tobytes())
+        out.append(table.hi.astype(dtype, copy=False).tobytes())
         stack.extend(reversed(node.children))
 
 
@@ -75,20 +75,23 @@ def save_tree(tree: GnatTree, path) -> None:
     out = [_MAGIC, struct.pack("<I", _VERSION),
            struct.pack("<I", len(config_blob)), config_blob,
            struct.pack("<Q", tree.size)]
-    _write_node(out, tree.root)
+    _write_node(out, tree.root, tree.config.fixed_point, path)
+    body = b"".join(out)
     with open(path, "wb") as handle:
-        handle.write(b"".join(out))
+        handle.write(body)
+        handle.write(struct.pack("<I", zlib.crc32(body)))
 
 
 class _Reader:
     def __init__(self, blob: bytes, path):
         self.blob = blob
         self.pos = 0
+        self.end = len(blob)
         self.path = path
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
+        if self.pos + size > self.end:
             raise ConfigError(f"{self.path}: truncated tree file")
         values = struct.unpack_from(fmt, self.blob, self.pos)
         self.pos += size
@@ -96,7 +99,7 @@ class _Reader:
 
     def array(self, dtype, count: int) -> np.ndarray:
         size = np.dtype(dtype).itemsize * count
-        if self.pos + size > len(self.blob):
+        if self.pos + size > self.end:
             raise ConfigError(f"{self.path}: truncated tree file")
         arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.pos).copy()
         self.pos += size
@@ -110,6 +113,7 @@ def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
     exactly once, each measuring set is non-empty, strictly ascending and
     within the node's centers, and no fixed-point code exceeds max_code.
     """
+    dtype = np.float64 if fp is None else np.uint16
     ids = []
     top = [None]
     stack = [(top, 0)]
@@ -131,22 +135,11 @@ def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
                 or any(a >= b for a, b in zip(measuring, measuring[1:]))):
             raise ConfigError(f"{reader.path}: measuring set {measuring} is not "
                               f"a non-empty ascending subset of [0, {count})")
-        codec, saturated = reader.unpack("<BB")
-        shape = (n_rows, count)
-        if codec == 0:
-            lo = reader.array(np.float64, n_rows * count).reshape(shape)
-            hi = reader.array(np.float64, n_rows * count).reshape(shape)
-            table = RangeTable(lo, hi)
-        else:
-            if fp is None:
-                raise ConfigError(f"{reader.path}: fixed-point table but config has no codec params")
-            lo = reader.array(np.uint16, n_rows * count).reshape(shape)
-            hi = reader.array(np.uint16, n_rows * count).reshape(shape)
-            worst = max(int(lo.max()), int(hi.max()))
-            if worst > fp.max_code:
-                raise ConfigError(f"{reader.path}: code {worst} exceeds max_code {fp.max_code}")
-            table = RangeTable(lo, hi, fixed_point=fp, hi_saturated=bool(saturated))
-        node = GnatNode(centers.astype(int).tolist(), table, [None] * count, measuring)
+        bounds = reader.array(dtype, 2 * n_rows * count).reshape(2, n_rows, count)
+        if fp is not None and bounds.max() > fp.max_code:
+            raise ConfigError(f"{reader.path}: code {bounds.max()} exceeds max_code {fp.max_code}")
+        node = GnatNode(centers.astype(int).tolist(), RangeTable(*bounds, fp), [None] * count,
+                        measuring)
         siblings[slot] = node
         stack.extend((node.children, j) for j in reversed(range(count)))
     stored = np.concatenate(ids).astype(np.int64)
@@ -163,14 +156,17 @@ def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
 def load_tree(path, dataset: Dataset) -> GnatTree:
     with open(path, "rb") as handle:
         blob = handle.read()
-    reader = _Reader(blob, path)
-    magic = blob[:4]
-    reader.pos = 4
-    if magic != _MAGIC:
+    if blob[:4] != _MAGIC:
         raise ConfigError(f"{path}: not a tree file (bad magic)")
+    reader = _Reader(blob, path)
+    reader.pos = 4
     (version,) = reader.unpack("<I")
     if version != _VERSION:
         raise ConfigError(f"{path}: unsupported tree file version {version}")
+    reader.end -= 4  # the checksum; reading the version left at least 4 bytes
+    (crc,) = struct.unpack_from("<I", blob, reader.end)
+    if zlib.crc32(memoryview(blob)[:reader.end]) != crc:
+        raise ConfigError(f"{path}: checksum mismatch, the tree file is corrupt")
     (config_len,) = reader.unpack("<I")
     try:
         config = _config_from_json(blob[reader.pos:reader.pos + config_len])
@@ -184,6 +180,6 @@ def load_tree(path, dataset: Dataset) -> GnatTree:
         raise ConfigError(
             f"{path}: tree was built over {size} objects, dataset has {len(dataset)}")
     root = _read_node(reader, config.fixed_point, size)
-    if reader.pos != len(blob):
-        raise ConfigError(f"{path}: {len(blob) - reader.pos} trailing bytes after the tree")
-    return GnatTree(root, config, dataset, size)
+    if reader.pos != reader.end:
+        raise ConfigError(f"{path}: {reader.end - reader.pos} trailing bytes after the tree")
+    return GnatTree(root, config, dataset)

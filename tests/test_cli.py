@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from gnatty import GnatNode, cli, generate_uniform_vectors, load_tree, split_queries
-from gnatty.datasets import save_vectors
+from helpers import save_vectors
 
 SMALL = ["--n", "150", "--dim", "3", "--queries", "10", "--seed", "0"]
 
@@ -48,6 +48,15 @@ def test_save_tree_rejects_multiple_variants(tmp_path):
     code = cli.main(["build", *SMALL, "--index", "gnatty", "--alpha", "0.3", "0.5",
                      "--save-tree", str(tmp_path / "t.gnt")])
     assert code == 1
+
+
+def test_bad_codec_flags_fail_before_any_build(capsys):
+    # the codec params are resolved before the first structure is built,
+    # so a bad --beta prints no build line
+    code = cli.main(["build", "--n", "300", "--dim", "3", "--index", "aesa", "gnatty",
+                     "--codec", "exact", "fp", "--beta", "2"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_query_command(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from gnatty import (ConfigError, DatasetFormatError, generate_random_words,
                     generate_uniform_vectors, load_strings, load_vectors, split_queries)
-from gnatty.datasets import save_vectors
+from helpers import save_vectors
 
 
 def test_generate_empty_and_deterministic():

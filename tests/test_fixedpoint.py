@@ -46,7 +46,7 @@ def test_decode_examples():
 
 @given(st.floats(min_value=0.0, max_value=900.0, allow_nan=False))
 def test_roundtrip_brackets_value(x):
-    # 900 < decode(255) ~ 1012 for Q2.8 with beta=1/5, so hi never saturates
+    # 900 < decode(254) ~ 982 for Q2.8 with beta=1/5, so hi never gets max_code
     lo_code, hi_code = encode_one(x, x)
     lut = decode_lut(Q28)
     assert lut[lo_code] <= x <= lut[hi_code]
@@ -61,14 +61,18 @@ def test_codes_ordered(a, b):
 
 
 def test_saturation_detection():
-    # below the largest decoded value the hi code decodes above hi ...
+    # below decode(max_code - 1) the hi code decodes above hi ...
+    lut = decode_lut(Q28)
     _, hi_code = encode_one(900.0, 900.0)
-    assert hi_code < Q28.max_code and decode_lut(Q28)[hi_code] > 900.0
-    # ... from it on no code does: hi clamps to max_code, which decodes <= hi
-    top = decode_lut(Q28)[Q28.max_code]
+    assert hi_code < Q28.max_code and lut[hi_code] > 900.0
+    # ... from it on the hi code is max_code, which decodes to +inf as an
+    # upper bound; from decode(max_code) on no code decodes above hi
+    assert encode_one(lut[-2], lut[-2])[1] == Q28.max_code
+    top = lut[Q28.max_code]
     for hi in (top, 2000.0):
         assert encode_one(hi, hi) == (Q28.max_code, Q28.max_code)
-    assert top < 2000.0  # why the saturation flag exists
+    assert top < 2000.0  # why max_code must decode to +inf
+    assert decoded_floats(Q28, upper=True)[Q28.max_code] == math.inf
 
 
 def test_decode_lut_matches_scalar():
@@ -119,29 +123,29 @@ def test_every_code_boundary_rounds_outward(params):
             # hi: the smallest code that decodes to > x
             assert hi_code == greater.min(), (x, hi_code)
         else:
-            # no such code: max_code, and the table says it saturated
+            # no such code: max_code, which decodes to +inf as an upper bound
             assert hi_code == params.max_code
             table = encode_table(RangeTable(np.array([[x]]), np.array([[x]])), params)
-            assert table.hi_saturated
-    fits = xs[xs < lut[-1]][None, :]
-    assert not encode_table(RangeTable(fits, fits), params).hi_saturated
+            assert table.hi[0, 0] == params.max_code
+            assert table.decoded_bounds()[1] == [[math.inf]]
+    # below decode(max_code - 1) every hi code decodes to a finite bound
+    fits = xs[xs < lut[-2]][None, :]
+    assert (encode_table(RangeTable(fits, fits), params).hi < params.max_code).all()
 
 
 @pytest.mark.parametrize("params", LAYOUTS)
 def test_decoded_bounds_match_numpy_decode(params):
     # the decoded rows are made from shared Python floats; they must equal
-    # the numpy decode, +inf for saturated hi codes, bit for bit
+    # the numpy decode, +inf for hi codes of max_code, bit for bit
     lut = decode_lut(params)
     rng = np.random.default_rng(params.total_bits)
     top = float(lut[-1])
-    for scale in (top / 4, top * 2):  # the second one saturates
+    for scale in (top / 4, top * 2):  # only the second one reaches max_code
         lo = rng.uniform(0.0, scale, size=(3, 7))
         hi = lo + rng.uniform(0.0, scale, size=(3, 7))
         table = encode_table(RangeTable(lo, hi), params)
-        assert table.hi_saturated == (scale > top)
-        expected_hi = lut[table.hi]
-        if table.hi_saturated:
-            expected_hi = np.where(table.hi == params.max_code, np.inf, expected_hi)
+        assert (table.hi == params.max_code).any() == (scale > top)
+        expected_hi = np.where(table.hi == params.max_code, np.inf, lut[table.hi])
         got_lo, got_hi = table.decoded_bounds()
         assert got_lo == lut[table.lo].tolist()
         assert got_hi == expected_hi.tolist()
@@ -150,4 +154,4 @@ def test_decoded_bounds_match_numpy_decode(params):
         assert [x.hex() for row in got_hi for x in row] == \
             [x.hex() for x in expected_hi.ravel().tolist()]
     assert decoded_floats(params) is decoded_floats(params)
-    assert decoded_floats(params, True)[-1] == math.inf
+    assert decoded_floats(params, upper=True)[-1] == math.inf

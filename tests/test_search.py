@@ -207,12 +207,13 @@ def test_fixed_point_same_results_more_evals(small_world):
 
 def test_saturated_tables_stay_exact():
     # distances way beyond the representable fixed-point range: upper
-    # bounds saturate and must stop pruning instead of lying
+    # bounds get max_code, which decodes to +inf and stops pruning
     base = generate_uniform_vectors(300, 4, seed=1)
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     tree = build(big, EUCLID, BuildConfig(arity=PowerArity(0.5),
                                           fixed_point=FixedPointParams(8, 2, 0.2), seed=1))
-    assert any(node.table.hi_saturated for node in iter_nodes(tree.root))
+    assert any((node.table.hi == node.table.fixed_point.max_code).any()
+               for node in iter_nodes(tree.root))
     for i in range(0, 300, 23):
         for r in (100.0, 400.0, 1500.0):
             for search in (gnat_range_search, egnat_range_search):

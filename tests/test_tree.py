@@ -324,7 +324,7 @@ def test_encode_table_marks_saturation():
 
     params = FixedPointParams(8, 2, 0.2)
     coded = encode_table(RangeTable(lo, hi), params)
-    assert coded.hi_saturated
+    assert coded.hi[0, 0] == params.max_code
     assert coded.decoded_bounds()[1][0][0] == math.inf
 
 
