@@ -5,9 +5,8 @@ benchmark harness that counts distance evaluations and table entries."""
 
 from .baselines import (AesaMatrix, ClusterList, aesa_build,
                         aesa_range_search, lc_build, lc_range_search)
-from .bench import (ExperimentSpec, ResultRow, calibrate_radius, emit_csv,
-                    find_equal_memory_arity, linear_scan_knn, linear_scan_range,
-                    oracle_check, run_experiment)
+from .bench import (ExperimentSpec, ResultRow, calibrate_radius, emit_csv, linear_scan_knn,
+                    linear_scan_range, oracle_check, run_experiment)
 from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
                        load_strings, load_vectors, rng_stream, split_queries)
 from .errors import ConfigError, DatasetFormatError, GnattyError, OracleMismatchError

@@ -183,16 +183,13 @@ def resolve_fp_params(spec: ExperimentSpec, database: Dataset) -> FixedPointPara
 def validate_spec(spec: ExperimentSpec) -> None:
     """Reject grid values outside their declared domains.
 
-    Values with an owning class are checked by constructing it once; the
-    rest are checked here.  Domain violations are configuration errors;
-    only data-relative infeasibility (a cell that cannot run on this
-    dataset) is skipped later with a warning.
+    Values with an owning class are checked by constructing it once, n
+    and queries by prepare_workload before any build; the rest are
+    checked here.  Domain violations are configuration errors; only
+    data-relative infeasibility (a cell that cannot run on this dataset)
+    is skipped later with a warning.
     """
     metric_by_name(spec.metric)
-    if spec.dataset_path is None and spec.n < 0:
-        raise ConfigError(f"n must be >= 0, got {spec.n}")
-    if spec.queries < 0:
-        raise ConfigError(f"queries must be >= 0, got {spec.queries}")
     for kind, names, known in (("index", spec.indexes, INDEXES), ("codec", spec.codecs, CODECS),
                                ("search mode", spec.searches, SEARCHES)):
         for name in names:
@@ -235,9 +232,11 @@ class Variant:
     bytes: float
     build_seconds: float
 
-    @property
-    def label(self) -> str:
-        return " ".join([self.index] + [f"{k}={v}" for k, v in self.coords.items() if v != ""])
+
+def label(index: str, coords) -> str:
+    """A structure's name: its index, then every non-blank coordinate of
+    coords (a Variant's coords, or vars() of a ResultRow)."""
+    return " ".join([index] + [f"{k}={coords[k]}" for k in _NO_COORDS if coords[k] != ""])
 
 
 def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: int,
@@ -382,39 +381,7 @@ def oracle_check(spec: ExperimentSpec) -> list[str]:
                 for (mode, value, radii), want in zip(workloads, expected):
                     if any(runner(obj, radius).results != w
                            for obj, radius, w in zip(queries, radii, want)):
-                        failures.append(f"seed={seed} {mode}={value} {variant.label} "
-                                        f"search={search}")
+                        failures.append(f"seed={seed} {mode}={value} "
+                                        f"{label(variant.index, variant.coords)} search={search}")
     return failures
 
-
-def find_equal_memory_arity(database: Dataset, metric: MetricSpace, target_entries: int,
-                            seed: int = 0) -> tuple[int, int]:
-    """Constant arity whose hyperplane tree stores a table-entry count
-    closest to the target (used for equal-memory comparisons against
-    variable-arity trees).
-
-    Entry counts grow with m, so a binary search over [2, n] suffices;
-    both the arity and its achieved entry count are returned rather than
-    pretending the match is exact.
-    """
-    hi = len(database)
-    if hi < 2:
-        raise ConfigError("database too small for a constant-arity tree")
-    cache: dict[int, int] = {}
-
-    def entries(m: int) -> int:
-        if m not in cache:
-            config = BuildConfig(arity=ConstantArity(m), seed=seed)
-            cache[m] = table_entry_count(build(database, metric, config))
-        return cache[m]
-
-    lo = 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries(mid) < target_entries:
-            lo = mid + 1
-        else:
-            hi = mid
-    candidates = sorted({max(2, lo - 1), lo})
-    best = min(candidates, key=lambda m: (abs(entries(m) - target_entries), m))
-    return best, entries(best)

@@ -15,7 +15,7 @@ import argparse
 import logging
 import sys
 
-from .bench import (CODECS, INDEXES, SEARCHES, ExperimentSpec, emit_csv, oracle_check,
+from .bench import (CODECS, INDEXES, SEARCHES, ExperimentSpec, emit_csv, label, oracle_check,
                     run_experiment, sweep)
 from .errors import ConfigError, DatasetFormatError, OracleMismatchError
 from .metrics import METRICS
@@ -97,7 +97,8 @@ def _cmd_build(args) -> int:
     trees = []
     for seed, *_, variants in sweep(_spec_from_args(args), calibrate=False):
         for variant in variants:
-            print(f"{variant.label} seed={seed}: build_evals={variant.build_distance_evals} "
+            print(f"{label(variant.index, variant.coords)} seed={seed}: "
+                  f"build_evals={variant.build_distance_evals} "
                   f"entries={variant.entries} bytes={variant.bytes:.0f} "
                   f"build_seconds={variant.build_seconds:.3f}")
             if isinstance(variant.structure, GnatTree):
@@ -114,9 +115,8 @@ def _cmd_query(args) -> int:
     spec = _spec_from_args(args)
     rows = run_experiment(spec)
     for row in rows:
-        print(f"{row.index} partition={row.partition or '-'} arity={row.arity or '-'} "
-              f"gamma={row.gamma or '-'} codec={row.codec} reduce={row.reduce or '-'} "
-              f"search={row.search} {row.radius_mode}={row.radius_param} seed={row.seed}: "
+        print(f"{label(row.index, vars(row))} search={row.search} "
+              f"{row.radius_mode}={row.radius_param} seed={row.seed}: "
               f"mean_evals={row.mean_distance_evals:.1f} "
               f"median_evals={row.median_distance_evals:.1f} "
               f"entries={row.entries} mean_results={row.mean_result_size:.1f}")

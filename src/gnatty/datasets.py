@@ -138,7 +138,7 @@ def split_queries(dataset: Dataset, q: int, seed: int) -> tuple[Dataset, Dataset
     preserve the original relative order.
     """
     n = len(dataset)
-    if q > n:
+    if not 0 <= q <= n:
         raise ConfigError(f"cannot take {q} queries from {n} objects")
     rng = rng_stream(seed, "queries")
     picked = set(rng.choice(n, size=q, replace=False).tolist()) if q else set()

@@ -47,7 +47,7 @@ class RangeQuery:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
 

@@ -71,9 +71,9 @@ class BuildConfig:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.bucket_size < 0:
+        if not self.bucket_size >= 0:
             raise ConfigError(f"bucket_size must be >= 0, got {self.bucket_size}")
-        if self.reduce_factor < 1.0:
+        if not self.reduce_factor >= 1.0:
             raise ConfigError(f"reduce_factor must be >= 1, got {self.reduce_factor}")
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from gnatty import bench, search
 from gnatty import (ConfigError, Dataset, EuclideanMetric, ExperimentSpec,
-                    calibrate_radius, emit_csv, find_equal_memory_arity,
+                    calibrate_radius, emit_csv,
                     generate_uniform_vectors, linear_scan_range, oracle_check,
                     run_experiment)
 from gnatty.bench import CSV_COLUMNS, linear_scan_knn, resolve_fp_params
@@ -198,14 +198,3 @@ def test_resolve_fp_params_for_edit():
     assert params.beta == 1.0
     longest = max(len(w) for w in words)
     assert decode_lut(params)[params.max_code] >= longest
-
-
-def test_find_equal_memory_arity():
-    ds = generate_uniform_vectors(400, 5, seed=4)
-    from gnatty import BuildConfig, ConstantArity, build, table_entry_count
-
-    entries_12 = table_entry_count(build(ds, EUCLID, BuildConfig(arity=ConstantArity(12), seed=0)))
-    m, achieved = find_equal_memory_arity(ds, EUCLID, entries_12, seed=0)
-    assert m == 12 and achieved == entries_12
-    with pytest.raises(ConfigError):
-        find_equal_memory_arity(Dataset([(0.0,)]), EUCLID, 10)

@@ -128,6 +128,32 @@ def test_bad_flag_value_is_config_error():
     assert cli.main(["query", *SMALL, "--gamma", "1.5", "--target-k", "5"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--radius", "nan"], "radius must be >= 0"),
+    (["--reduce", "nan", "--target-k", "3"], "reduce_factor must be >= 1"),
+    (["--queries", "-1", "--target-k", "3"], "cannot take -1 queries"),
+], ids=["radius-nan", "reduce-nan", "queries-negative"])
+def test_nan_and_negative_values_are_config_errors(flags, message, capsys):
+    code = cli.main(["query", "--n", "200", "--dim", "3", "--queries", "5", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_query_labels_name_every_coordinate(capsys):
+    code = cli.main(["query", *SMALL, "--index", "gnatty", "lc", "--bucket", "0", "4",
+                     "--lc-bucket", "16", "32", "--target-k", "3"])
+    assert code == 0
+    assert [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 codec=exact reduce=1 "
+        "search=gnat k=3 seed=0",
+        "gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=4 codec=exact reduce=1 "
+        "search=gnat k=3 seed=0",
+        "lc bucket=16 codec=exact search=lc k=3 seed=0",
+        "lc bucket=32 codec=exact search=lc k=3 seed=0",
+    ]
+
+
 def test_oracle_check_passes(capsys):
     code = cli.main(["oracle-check", *SMALL, "--index", "gnatty", "aesa",
                      "--search", "gnat", "egnat", "--target-k", "5"])

@@ -94,6 +94,8 @@ def test_split_queries():
     assert len(database) == 0 and sorted(map(tuple, queries)) == sorted(map(tuple, ds))
     with pytest.raises(ConfigError):
         split_queries(ds, 11, seed=0)
+    with pytest.raises(ConfigError, match="cannot take -1 queries"):
+        split_queries(ds, -1, seed=0)
 
 
 def test_split_queries_deterministic_disjoint():

@@ -2,16 +2,20 @@
 
 perfbench/ and scripts/ import names from gnatty; nothing else runs them, so
 a name removed from the package would go unnoticed until the benchmark or the
-script is run.  The equal-memory table is pinned as printed.
+script is run.  The frontier table is pinned as printed.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
+
+from gnatty import bench
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
@@ -49,11 +53,31 @@ def _run_script(name, argv, monkeypatch, capsys):
     return capsys.readouterr().out
 
 
-def test_equal_memory_table(monkeypatch, capsys):
-    out = _run_script("equal_memory", ["--n", "600", "--queries", "20"], monkeypatch, capsys)
-    assert out == (
-        "             structure    entries  total evals  mean evals\n"
-        "      gnatty alpha=0.5       2283        10850       542.5\n"
-        "              gnat m=5       2275        10833       541.6\n"
-        "                  aesa     179700         3498       174.9\n"
-        "          lc bucket=32         19        11790       589.5\n")
+def test_frontier_table(monkeypatch, capsys):
+    # one calibration per query and one build per tree cell: 2 partitions x
+    # 5 arities x 2 codecs x 2 reduce factors, for gnatty and for gnat
+    monkeypatch.setattr(bench, "calibrate_radius", Mock(wraps=bench.calibrate_radius))
+    monkeypatch.setattr(bench, "build", Mock(wraps=bench.build))
+    out = _run_script("frontier", ["--n", "600", "--queries", "20"], monkeypatch, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f09dffdf79847217674bc9ffcd0a32657ab5819e06aecc222fee08669c99053")
+    assert bench.calibrate_radius.call_count == 20 and bench.build.call_count == 80
+
+    header, *lines = out.splitlines()
+    assert header.split()[:2] == ["row", "structure"]
+    rows = {}
+    for line in lines:
+        number, *_, size, evals, by = line.split()
+        rows[int(number)] = (float(size), float(evals), by)
+    assert len(rows) == 82
+    sizes = [size for size, _, _ in rows.values()]
+    assert sizes == sorted(sizes)
+
+    def dominates(a, b):
+        return a[0] <= b[0] and a[1] <= b[1] and a[:2] != b[:2]
+
+    frontier = [i for i, row in rows.items() if row[2] == "-"]
+    assert frontier and all(row[2] == "-" or dominates(rows[int(row[2])], row)
+                            for row in rows.values())
+    assert not any(dominates(other, rows[i]) for i in frontier for other in rows.values())
+
