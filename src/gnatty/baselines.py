@@ -160,7 +160,7 @@ def lc_range_search(cluster_list: ClusterList, query: RangeQuery,
                 stats.distance_evals += 1
                 if dist(q, dataset[oid]) <= r:
                     stats.results.add(oid)
-        if not (e + cluster.radius < r) and e < cluster.radius - r:
+        if e < cluster.radius - r:
             break
     return stats
 

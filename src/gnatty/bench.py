@@ -23,13 +23,13 @@ import numpy as np
 from .baselines import (AesaMatrix, aesa_build, aesa_range_search, lc_build, lc_range_search,
                         lc_stored_reals)
 from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
-                       load_strings, load_vectors, split_queries)
+                       load_strings, load_vectors, rng_stream, split_queries)
 from .errors import ConfigError
 from .fixedpoint import FixedPointParams, params_for_integer_range
 from .metrics import MetricSpace, metric_by_name
 from .search import DISCIPLINES, RangeQuery, egnat_range_search, gnat_range_search
 from .tree import (BuildConfig, ConstantArity, GnatTree, PowerArity, build, nearest_first,
-                   table_bytes, table_entry_count)
+                   table_bytes, table_entry_count, with_fixed_point)
 
 log = logging.getLogger("gnatty")
 
@@ -183,13 +183,15 @@ def resolve_fp_params(spec: ExperimentSpec, database: Dataset) -> FixedPointPara
 def validate_spec(spec: ExperimentSpec) -> None:
     """Reject grid values outside their declared domains.
 
-    Values with an owning class are checked by constructing it once, n
-    and queries by prepare_workload before any build; the rest are
-    checked here.  Domain violations are configuration errors; only
+    Values with an owning class are checked by constructing it once, seeds
+    by rng_stream, n and queries by prepare_workload before any build; the
+    rest here.  Domain violations are configuration errors; only
     data-relative infeasibility (a cell that cannot run on this dataset)
     is skipped later with a warning.
     """
     metric_by_name(spec.metric)
+    for seed in spec.seeds:
+        rng_stream(seed, "dataset")
     for kind, names, known in (("index", spec.indexes, INDEXES), ("codec", spec.codecs, CODECS),
                                ("search mode", spec.searches, SEARCHES)):
         for name in names:
@@ -261,14 +263,23 @@ def _cells(spec: ExperimentSpec, database: Dataset, metric: MetricSpace, seed: i
             arities = [("alpha:%g" % a, PowerArity(a)) for a in spec.alphas]
         else:
             arities = [("const:%d" % m, ConstantArity(m)) for m in spec.arity_consts]
-        for partition, (arity_label, arity), gamma, bucket, codec, factor in itertools.product(
-                partitions, arities, spec.gammas, spec.buckets, spec.codecs, spec.reduces):
-            config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
-                                 bucket_size=bucket, reduce_factor=factor,
-                                 fixed_point=fp if codec == "fp" else None, seed=seed)
-            coords = {"partition": partition, "arity": arity_label, "gamma": "%g" % gamma,
-                      "bucket": str(bucket), "codec": codec, "reduce": "%g" % factor}
-            yield index, coords, partial(build, database, metric, config), spec.searches
+        for partition, (arity_label, arity), gamma, bucket in itertools.product(
+                partitions, arities, spec.gammas, spec.buckets):
+            exact = {}  # config -> exact tree, kept for this group's cells only
+            for codec, factor in itertools.product(spec.codecs, spec.reduces):
+                config = BuildConfig(arity=arity, partition=partition, gamma=gamma,
+                                     bucket_size=bucket, reduce_factor=factor, seed=seed)
+                coords = {"partition": partition, "arity": arity_label, "gamma": "%g" % gamma,
+                          "bucket": str(bucket), "codec": codec, "reduce": "%g" % factor}
+                yield index, coords, partial(_tree, exact, database, metric, config,
+                                             fp if codec == "fp" else None), spec.searches
+
+
+def _tree(exact: dict, database: Dataset, metric: MetricSpace, config: BuildConfig, fp):
+    """config's exact tree, built once into exact, or with fp its with_fixed_point twin."""
+    if config not in exact:
+        exact[config] = build(database, metric, config)
+    return exact[config] if fp is None else with_fixed_point(exact[config], fp)
 
 
 def _runner(search: str, structure, database: Dataset, metric: MetricSpace):

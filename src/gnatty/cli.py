@@ -112,8 +112,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    spec = _spec_from_args(args)
-    rows = run_experiment(spec)
+    rows = run_experiment(_spec_from_args(args))
     for row in rows:
         print(f"{label(row.index, vars(row))} search={row.search} "
               f"{row.radius_mode}={row.radius_param} seed={row.seed}: "
@@ -129,16 +128,14 @@ def _cmd_query(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.out:
         raise ConfigError("sweep requires --out CSV")
-    spec = _spec_from_args(args)
-    rows = run_experiment(spec)
+    rows = run_experiment(_spec_from_args(args))
     emit_csv(rows, args.out, include_times=args.times)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
-    spec = _spec_from_args(args)
-    failures = oracle_check(spec)
+    failures = oracle_check(_spec_from_args(args))
     if failures:
         for label in failures:
             print(f"MISMATCH {label}", file=sys.stderr)

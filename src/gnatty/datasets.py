@@ -28,6 +28,8 @@ _STREAMS = {
 
 def rng_stream(seed: int, concern: str) -> np.random.Generator:
     """A deterministic PCG64 generator for one named concern."""
+    if not seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng([int(seed), _STREAMS[concern]])
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -212,14 +211,13 @@ def node_distances(center_ids, positions, object_ids, dataset: Dataset,
 
 
 def hyperplane_partition(object_ids, center_ids, known, dataset: Dataset,
-                         metric: MetricSpace) -> list[list[int]]:
+                         metric: MetricSpace) -> np.ndarray:
     """Assign every object to its nearest center (nearest-center cells).
 
     Ties go to the lowest center position.  known[pos] is center pos's
     distances to every object, in object_ids order, or None; only the
-    centers without them are measured, one batched call each.  Returns
-    assigned: assigned[pos] lists the objects of center pos in object_ids
-    order.
+    centers without them are measured, one batched call each.  Returns the
+    labels: labels[k] is the center position of object_ids[k]'s cell.
     """
     if not center_ids:
         raise ConfigError("hyperplane partition needs at least one center")
@@ -228,11 +226,7 @@ def hyperplane_partition(object_ids, center_ids, known, dataset: Dataset,
     measured = np.empty((len(center_ids), len(points)))
     for pos, (cid, row) in enumerate(zip(center_ids, known)):
         measured[pos] = metric.distances(objs[cid], points) if row is None else row
-    nearest = measured.argmin(axis=0)  # the first minimum: the lowest position
-    assigned: list[list[int]] = [[] for _ in center_ids]
-    for oid, pos in zip(object_ids, nearest.tolist()):
-        assigned[pos].append(oid)
-    return assigned
+    return measured.argmin(axis=0)  # the first minimum: the lowest position
 
 
 def ball_capacity(object_count: int, m: int, gamma: float) -> int:
@@ -253,7 +247,7 @@ def nearest_first(d: np.ndarray, ids, take: int) -> np.ndarray:
 
 
 def ball_partition(object_ids, center_ids, gamma: float, known, dataset: Dataset,
-                   metric: MetricSpace) -> list[list[int]]:
+                   metric: MetricSpace) -> np.ndarray:
     """Greedy balls: each center but the last takes its nearest unclaimed
     objects up to a fixed capacity; the last center takes the leftovers.
 
@@ -263,58 +257,54 @@ def ball_partition(object_ids, center_ids, gamma: float, known, dataset: Dataset
     known[pos] is center pos's distances to every object, in object_ids
     order, or None; a center without them measures just the objects still
     unclaimed at its turn, and the last center measures nothing.  Returns
-    assigned: assigned[pos] lists the ball of center pos in object_ids
-    order.
+    the labels: labels[k] is the position of the center whose ball holds
+    object_ids[k].
     """
     m = len(center_ids)
     if m == 0:
         raise ConfigError("ball partition needs at least one center")
     capacity = ball_capacity(len(object_ids), m, gamma)
     objs = dataset.objects
-    remaining = list(object_ids)
-    points = list(map(objs.__getitem__, remaining))
-    unclaimed = np.arange(len(remaining))  # positions of remaining in object_ids
-    assigned: list[list[int]] = []
+    ids = np.array(object_ids, dtype=np.intp)
+    labels = np.full(len(ids), m - 1)
+    unclaimed = np.arange(len(ids))  # positions in object_ids
     for pos in range(m - 1):
-        if not remaining:
-            assigned.append([])
-            continue
+        if not len(unclaimed):
+            break
         row = known[pos]
         if row is None:
-            d = np.array(metric.distances(objs[center_ids[pos]], points), dtype=np.float64)
+            points = list(map(objs.__getitem__, ids[unclaimed].tolist()))
+            d = np.array(metric.distances(objs[center_ids[pos]], points))
         else:
             d = row[unclaimed]
-        taken = np.zeros(len(remaining), dtype=bool)
-        taken[nearest_first(d, remaining, min(capacity, len(remaining)))] = True
-        assigned.append(list(compress(remaining, taken.tolist())))
-        kept = (~taken).tolist()
-        remaining = list(compress(remaining, kept))
-        points = list(compress(points, kept))
-        unclaimed = unclaimed[~taken]
-    assigned.append(remaining)
-    return assigned
+        taken = nearest_first(d, ids[unclaimed], min(capacity, len(unclaimed)))
+        labels[unclaimed[taken]] = pos
+        unclaimed = unclaimed[labels[unclaimed] == m - 1]
+    return labels
 
 
-def compute_range_table(dist: np.ndarray, center_ids, partitions, object_ids) -> RangeTable:
+def child_layout(labels: np.ndarray, center_ids, object_ids):
+    """(order, starts, children) of one stable sort: order permutes the
+    node_distances columns (centers, then objects) so that child j starts
+    at starts[j] with its center, then its objects (labels[k] == j) in
+    object_ids order; children[j] lists those objects' ids."""
+    m = len(center_ids)
+    order = np.argsort(np.concatenate((np.arange(m), labels)), kind="stable")
+    starts = np.flatnonzero(order < m)
+    laid = list(map((center_ids + object_ids).__getitem__, order.tolist()))
+    ends = starts[1:].tolist() + [len(laid)]
+    return order, starts, [laid[i + 1:e] for i, e in zip(starts.tolist(), ends)]
+
+
+def compute_range_table(dist: np.ndarray, order: np.ndarray, starts: np.ndarray) -> RangeTable:
     """Exact [min, max] of distances from each measuring pivot to each
-    child's objects, the child's center included.
-
-    dist holds the pivots' node_distances rows over center_ids and
-    object_ids, and partitions splits object_ids among the centers.
-    Nothing is measured here: each row in turn is laid out child by child,
-    each child's center first, and reduced per child.
-    """
-    column = {oid: k for k, oid in enumerate(object_ids, len(center_ids))}
-    starts, layout = [], []
-    for j, part in enumerate(partitions):
-        starts.append(len(layout))
-        layout.append(j)
-        layout.extend(map(column.__getitem__, part))
-    layout = np.array(layout, dtype=np.intp)
-    lo = np.empty((len(dist), len(center_ids)))
+    child's objects, the child's center included.  Nothing is measured:
+    each of the pivots' node_distances rows (dist) in turn is laid out by
+    the node's child_layout (order, starts) and reduced per child."""
+    lo = np.empty((len(dist), len(starts)))
     hi = np.empty_like(lo)
     for i, row in enumerate(dist):
-        d = row[layout]
+        d = row[order]
         lo[i] = np.minimum.reduceat(d, starts)
         hi[i] = np.maximum.reduceat(d, starts)
     return RangeTable(lo, hi)
@@ -379,14 +369,15 @@ def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
         for pos, row in zip(positions, dist):
             known[pos] = row[m:]
         if config.partition == "ball":
-            partitions = ball_partition(rest, centers, config.gamma, known, dataset, metric)
+            labels = ball_partition(rest, centers, config.gamma, known, dataset, metric)
         else:
-            partitions = hyperplane_partition(rest, centers, known, dataset, metric)
-        table = compute_range_table(dist, centers, partitions, rest)
+            labels = hyperplane_partition(rest, centers, known, dataset, metric)
+        order, starts, children = child_layout(labels, centers, rest)
+        table = compute_range_table(dist, order, starts)
         del dist, known  # the children need none of this node's distances
         node = GnatNode(centers, table, [None] * m, positions)
         siblings[slot] = node
-        stack.extend((partitions[j], node.children, j) for j in reversed(range(m)))
+        stack.extend((children[j], node.children, j) for j in reversed(range(m)))
     return top[0]
 
 

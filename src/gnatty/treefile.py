@@ -89,21 +89,19 @@ class _Reader:
         self.end = len(blob)
         self.path = path
 
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
+    def _take(self, size: int) -> int:
+        """Offset of the next size bytes, which the reader moves past."""
         if self.pos + size > self.end:
             raise ConfigError(f"{self.path}: truncated tree file")
-        values = struct.unpack_from(fmt, self.blob, self.pos)
         self.pos += size
-        return values
+        return self.pos - size
+
+    def unpack(self, fmt: str):
+        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
-        size = np.dtype(dtype).itemsize * count
-        if self.pos + size > self.end:
-            raise ConfigError(f"{self.path}: truncated tree file")
-        arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.pos).copy()
-        self.pos += size
-        return arr
+        offset = self._take(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=offset).copy()
 
 
 def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):

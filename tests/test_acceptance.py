@@ -174,14 +174,16 @@ def test_criterion_7_ball_partition_structure():
     centers = list(range(8))
     objects = list(range(8, 500))
     m = len(centers)
-    balanced = ball_partition(objects, centers, 1.0, [None] * m, dataset, EUCLID)
+    balanced = np.bincount(ball_partition(objects, centers, 1.0, [None] * m, dataset, EUCLID),
+                           minlength=m)
     expected = max(1, math.ceil(len(objects) / m))
-    first_ok = all(len(part) == expected for part in balanced[:-1])
-    skewed = ball_partition(objects, centers, 0.9, [None] * m, dataset, EUCLID)
-    unbalanced = len(skewed[-1]) > len(balanced[-1])
+    first_ok = all(size == expected for size in balanced[:-1])
+    skewed = np.bincount(ball_partition(objects, centers, 0.9, [None] * m, dataset, EUCLID),
+                         minlength=m)
+    unbalanced = skewed[-1] > balanced[-1]
     _report(7, first_ok and unbalanced,
             f"gamma=1 first {m - 1} children all {expected}; last child "
-            f"{len(balanced[-1])} -> {len(skewed[-1])} under gamma=0.9")
+            f"{balanced[-1]} -> {skewed[-1]} under gamma=0.9")
 
 
 def test_criterion_8_knn_oracle():

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+from unittest.mock import Mock
 
 import pytest
 
@@ -88,6 +90,28 @@ def test_fixed_point_row_reports_quarter_bytes():
     assert by_codec["exact"].entries == by_codec["fp"].entries
     assert by_codec["exact"].table_bytes == 4 * by_codec["fp"].table_bytes
     assert by_codec["fp"].mean_distance_evals >= by_codec["exact"].mean_distance_evals * 0.95
+
+
+def test_sweep_builds_each_exact_tree_once(monkeypatch):
+    # an fp cell encodes the exact tree of its coordinates, whichever codec
+    # the sweep lists first, and an fp cell without an exact one builds it
+    monkeypatch.setattr(bench, "build", Mock(wraps=bench.build))
+    base = dict(n=220, dim=4, queries=10, indexes=("gnatty", "gnat"), alphas=(0.4, 0.6),
+                reduces=(1.0, 2.0), target_ks=(5,))
+    both = run_experiment(ExperimentSpec(**base, codecs=("fp", "exact")))
+    assert len(both) == 12 and bench.build.call_count == 6
+    fp_only = run_experiment(ExperimentSpec(**base, codecs=("fp",)))
+    assert bench.build.call_count == 12
+
+    def untimed(row):
+        return dataclasses.replace(row, build_seconds=0.0, query_seconds=0.0)
+
+    assert [untimed(row) for row in both if row.codec == "fp"] == list(map(untimed, fp_only))
+    exact = {(row.index, row.arity, row.reduce): row for row in both if row.codec == "exact"}
+    for row in fp_only:
+        twin = exact[row.index, row.arity, row.reduce]
+        assert (row.build_distance_evals, row.entries) == (twin.build_distance_evals,
+                                                            twin.entries)
 
 
 def test_counter_hygiene_build_vs_query():

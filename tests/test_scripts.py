@@ -54,14 +54,15 @@ def _run_script(name, argv, monkeypatch, capsys):
 
 
 def test_frontier_table(monkeypatch, capsys):
-    # one calibration per query and one build per tree cell: 2 partitions x
-    # 5 arities x 2 codecs x 2 reduce factors, for gnatty and for gnat
+    # one calibration per query and one build per exact tree: 2 partitions x
+    # 5 arities x 2 reduce factors, for gnatty and for gnat; each fp cell
+    # encodes the exact tree of its coordinates
     monkeypatch.setattr(bench, "calibrate_radius", Mock(wraps=bench.calibrate_radius))
     monkeypatch.setattr(bench, "build", Mock(wraps=bench.build))
     out = _run_script("frontier", ["--n", "600", "--queries", "20"], monkeypatch, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3f09dffdf79847217674bc9ffcd0a32657ab5819e06aecc222fee08669c99053")
-    assert bench.calibrate_radius.call_count == 20 and bench.build.call_count == 80
+    assert bench.calibrate_radius.call_count == 20 and bench.build.call_count == 40
 
     header, *lines = out.splitlines()
     assert header.split()[:2] == ["row", "structure"]

@@ -14,7 +14,7 @@ from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset,
                     hyperplane_partition, iter_nodes,
                     table_bytes, table_entry_count, with_fixed_point)
 from gnatty.datasets import rng_stream
-from gnatty.tree import arity_for, ball_capacity, node_distances, select_pivots
+from gnatty.tree import arity_for, ball_capacity, child_layout, node_distances, select_pivots
 
 EUCLID = EuclideanMetric()
 
@@ -104,16 +104,17 @@ def test_node_distances_rows():
 
 def test_hyperplane_examples():
     ds = line_dataset(0.0, 1.0, 0.25, 0.75)
-    assert hyperplane_partition([], [0, 1], [None, None], ds, EUCLID) == [[], []]
-    assert hyperplane_partition([2, 3], [0, 1], [None, None], ds, EUCLID) == [[2], [3]]
+    assert hyperplane_partition([], [0, 1], [None, None], ds, EUCLID).tolist() == []
+    assert hyperplane_partition([2, 3], [0, 1], [None, None], ds, EUCLID).tolist() == [0, 1]
+    assert hyperplane_partition([3, 2], [0, 1], [None, None], ds, EUCLID).tolist() == [1, 0]
     # the same cells from known rows
     rows = node_distances([0, 1], [0, 1], [2, 3], ds, EUCLID)[:, 2:]
-    assert hyperplane_partition([2, 3], [0, 1], list(rows), ds, EUCLID) == [[2], [3]]
+    assert hyperplane_partition([2, 3], [0, 1], list(rows), ds, EUCLID).tolist() == [0, 1]
 
 
 def test_hyperplane_tie_goes_to_lower_position():
     ds = line_dataset(0.0, 1.0, 0.5)
-    assert hyperplane_partition([2], [0, 1], [None, None], ds, EUCLID) == [[2], []]
+    assert hyperplane_partition([2], [0, 1], [None, None], ds, EUCLID).tolist() == [0]
 
 
 def test_hyperplane_eval_count():
@@ -134,19 +135,16 @@ def test_ball_partition_sizes():
     centers = [100, 101, 102, 103]
     objects = list(range(100))
     for gamma, first_sizes, last in [(1.0, 25, 25), (0.5, 3, 91)]:
-        parts = ball_partition(objects, centers, gamma, [None] * 4, ds, EUCLID)
-        assert [len(p) for p in parts[:-1]] == [first_sizes] * 3
-        assert len(parts[-1]) == last
-        assert sorted(x for p in parts for x in p) == objects
+        labels = ball_partition(objects, centers, gamma, [None] * 4, ds, EUCLID)
+        assert np.bincount(labels, minlength=4).tolist() == [first_sizes] * 3 + [last]
 
 
 def test_ball_partition_takes_nearest():
     # center 0 at x=0 must claim the two closest objects
     ds = line_dataset(0.0, 10.0, 1.0, 2.0, 9.0, 8.0)
     recorder = _PairRecorder(ds)
-    parts = ball_partition([2, 3, 4, 5], [0, 1], 1.0, [None, None], ds, recorder)
-    assert parts[0] == [2, 3]
-    assert parts[1] == [4, 5]
+    labels = ball_partition([2, 3, 4, 5], [0, 1], 1.0, [None, None], ds, recorder)
+    assert labels.tolist() == [0, 0, 1, 1]
     # the first center measured every unclaimed object; the last, nothing
     assert recorder.pairs == [(0, 2), (0, 3), (0, 4), (0, 5)]
 
@@ -154,11 +152,13 @@ def test_ball_partition_takes_nearest():
 def test_ball_partition_tie_prefers_lower_id():
     ds = line_dataset(0.0, 5.0, 1.0, -1.0, 2.0)
     # objects 2 and 3 are both at distance 1 from center 0; capacity 1
-    parts = ball_partition([2, 3, 4], [0, 1], 0.001, [None, None], ds, EUCLID)
-    assert parts[0] == [2]
+    labels = ball_partition([2, 3, 4], [0, 1], 0.001, [None, None], ds, EUCLID)
+    assert labels.tolist() == [0, 1, 1]
+    # the tie goes by id, not by position
+    assert ball_partition([3, 2, 4], [0, 1], 0.001, [None, None], ds, EUCLID).tolist() == [1, 0, 1]
     # the same tie from a known row
     row = node_distances([0, 1], [0], [2, 3, 4], ds, EUCLID)[0, 2:]
-    assert ball_partition([2, 3, 4], [0, 1], 0.001, [row, None], ds, EUCLID)[0] == [2]
+    assert ball_partition([2, 3, 4], [0, 1], 0.001, [row, None], ds, EUCLID).tolist() == [0, 1, 1]
 
 
 def test_ball_balance_property():
@@ -166,9 +166,9 @@ def test_ball_balance_property():
     objects = list(range(9, 500))
     centers = list(range(9))
     recorder = _PairRecorder(ds)
-    parts = ball_partition(objects, centers, 1.0, [None] * 9, ds, recorder)
+    labels = ball_partition(objects, centers, 1.0, [None] * 9, ds, recorder)
     expected = max(1, math.ceil(len(objects) / 9))
-    assert all(len(p) == expected for p in parts[:-1])
+    assert all(size == expected for size in np.bincount(labels, minlength=9)[:-1])
     # each center measured just the objects still unclaimed at its turn
     measured = [sum(1 for a, _ in recorder.pairs if a == c) for c in centers]
     assert measured == [len(objects) - i * expected for i in range(8)] + [0]
@@ -182,7 +182,7 @@ def test_known_rows_are_not_measured_again():
     for partition in (lambda metric: hyperplane_partition(objects, centers, known, ds, metric),
                       lambda metric: ball_partition(objects, centers, 0.9, known, ds, metric)):
         recorder = _PairRecorder(ds)
-        assert partition(recorder) == partition(EUCLID)
+        assert np.array_equal(partition(recorder), partition(EUCLID))
         assert {a for a, _ in recorder.pairs}.isdisjoint({1, 3})
 
 
@@ -191,10 +191,10 @@ def test_ball_center_without_row_measures_only_unclaimed_objects():
     centers, objects = [0, 1, 2, 3], list(range(4, 80))
     rows = node_distances(centers, [0, 2], objects, ds, EUCLID)[:, 4:]
     recorder = _PairRecorder(ds)
-    parts = ball_partition(objects, centers, 1.0, [rows[0], None, rows[1], None], ds, recorder)
-    assert parts == ball_partition(objects, centers, 1.0, [None] * 4, ds, EUCLID)
+    labels = ball_partition(objects, centers, 1.0, [rows[0], None, rows[1], None], ds, recorder)
+    assert np.array_equal(labels, ball_partition(objects, centers, 1.0, [None] * 4, ds, EUCLID))
     # center 1 measures what ball 0 left, in object order; the last center nothing
-    assert recorder.pairs == [(1, oid) for oid in objects if oid not in parts[0]]
+    assert recorder.pairs == [(1, oid) for oid, j in zip(objects, labels) if j != 0]
 
 
 # ---------------------------------------------------------------- range table
@@ -262,23 +262,26 @@ def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
              lambda parts: sum(len(objects) - sum(map(len, parts[:p]))
                                for p in positions if p < m - 1))):
         batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
-        parts = partition([None] * m, batched)
-        assert parts == reference(scalar)
+        labels = partition([None] * m, batched)
+        parts = reference(scalar)
         assert batched.count == scalar.count
         full = batched.count
+        # the children the labels lay out are the reference's cells
+        order, starts, children = child_layout(labels, centers, objects)
+        assert children == parts
         # the table rows: every (pivot, center or object) pair once, self uncharged
         batched, scalar = DistanceCounter(EUCLID), DistanceCounter(EUCLID)
         dist = node_distances(centers, positions, objects, dataset, batched)
         lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
         assert batched.count == scalar.count == len(positions) * (m - 1 + len(objects))
-        table = compute_range_table(dist, centers, parts, objects)
+        table = compute_range_table(dist, order, starts)
         assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
         # from known rows, the same cells, less exactly the pairs the rows hold
         known = [None] * m
         for pos, row in zip(positions, dist):
             known[pos] = row[m:]
         batched = DistanceCounter(EUCLID)
-        assert partition(known, batched) == parts
+        assert np.array_equal(partition(known, batched), labels)
         assert batched.count == full - reused(parts)
 
 
@@ -287,7 +290,10 @@ def test_range_table_examples():
     ds = line_dataset(0.0, 4.0, 3.0, 5.0)
     counter = DistanceCounter(EUCLID)
     dist = node_distances([0, 1], [0, 1], [2, 3], ds, counter)
-    table = compute_range_table(dist, [0, 1], [[], [2, 3]], [2, 3])
+    order, starts, children = child_layout(np.array([1, 1]), [0, 1], [2, 3])
+    # each child's center first: center 0 alone, then center 1 with objects 2 and 3
+    assert (order.tolist(), starts.tolist(), children) == ([0, 1, 2, 3], [0, 1], [[], [2, 3]])
+    table = compute_range_table(dist, order, starts)
     lo, hi = table.decoded_bounds()
     assert lo[0][0] == hi[0][0] == 0.0          # self, empty child
     assert (lo[0][1], hi[0][1]) == (3.0, 5.0)
@@ -298,21 +304,25 @@ def test_range_table_examples():
     # the same node from each partition: with both rows known, neither
     # partition measures anything
     known = list(dist[:, 2:])
-    parts = hyperplane_partition([2, 3], [0, 1], known, ds, counter)
-    assert parts == [[], [2, 3]]
-    table = compute_range_table(dist, [0, 1], parts, [2, 3])
+    labels = hyperplane_partition([2, 3], [0, 1], known, ds, counter)
+    assert labels.tolist() == [1, 1]
+    table = compute_range_table(dist, *child_layout(labels, [0, 1], [2, 3])[:2])
     assert table.decoded_bounds() == ([[0.0, 3.0], [4.0, 0.0]], [[0.0, 5.0], [4.0, 1.0]])
-    parts = ball_partition([2, 3], [0, 1], 1.0, known, ds, counter)
-    assert parts == [[2], [3]]                 # capacity 1: the center at 0 claims 3.0
-    table = compute_range_table(dist, [0, 1], parts, [2, 3])
+    labels = ball_partition([2, 3], [0, 1], 1.0, known, ds, counter)
+    assert labels.tolist() == [0, 1]           # capacity 1: the center at 0 claims 3.0
+    order, starts, children = child_layout(labels, [0, 1], [2, 3])
+    assert (order.tolist(), starts.tolist(), children) == ([0, 2, 1, 3], [0, 2], [[2], [3]])
+    table = compute_range_table(dist, order, starts)
     assert table.decoded_bounds() == ([[0.0, 4.0], [1.0, 0.0]], [[3.0, 5.0], [4.0, 1.0]])
     assert counter.count == 6
     # a reduced table: one row, children laid out in object order
     counter = DistanceCounter(EUCLID)
     dist = node_distances([0, 1], [1], [3, 2], ds, counter)
-    parts = hyperplane_partition([3, 2], [0, 1], [None, dist[0, 2:]], ds, counter)
-    assert parts == [[], [3, 2]]
-    table = compute_range_table(dist, [0, 1], parts, [3, 2])
+    labels = hyperplane_partition([3, 2], [0, 1], [None, dist[0, 2:]], ds, counter)
+    assert labels.tolist() == [1, 1]
+    order, starts, children = child_layout(labels, [0, 1], [3, 2])
+    assert children == [[], [3, 2]]
+    table = compute_range_table(dist, order, starts)
     assert table.decoded_bounds() == ([[4.0, 0.0]], [[4.0, 1.0]])
     assert counter.count == 3 + 2              # row of center 1, then center 0's cells
 
@@ -363,6 +373,14 @@ def test_build_single_object_is_leaf():
 def test_build_empty_dataset_rejected():
     with pytest.raises(ConfigError):
         build(Dataset([]), EUCLID, BuildConfig(arity=ConstantArity(4)))
+
+
+def test_build_negative_seed_rejected():
+    ds = generate_uniform_vectors(20, 2, seed=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), seed=-1))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        rng_stream(-3, "pivots")
 
 
 def test_build_degenerate_all_centers():
