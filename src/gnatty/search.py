@@ -73,8 +73,7 @@ def _search_root(tree: GnatTree):
     is copied with inf made FLOAT_MAX), and one entry per child.  A child
     entry is None for an empty bucket, the id of a one-object bucket, the
     id list of a larger bucket, or the child's record.  Records are built
-    in pre-order, the order the tree was built and is searched in, by an
-    explicit stack, so any depth works.
+    by an explicit stack, so any depth works.
     """
     if tree.search_root is None:
         top = [None]
@@ -96,8 +95,7 @@ def _search_root(tree: GnatTree):
                 lo_rows[pos] = lo_row
                 hi_rows[pos] = hi_row
             parent[slot] = (centers, measuring, lo_rows, hi_rows, children)
-            # reversed, so that the first child comes off the stack first
-            stack += zip(reversed(node.children), repeat(children), reversed(range(m)))
+            stack += zip(node.children, repeat(children), range(m))
         tree.search_root = top[0]
     return tree.search_root
 
@@ -112,43 +110,41 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
     the tried pivots' rows.  The first pivot is the first measuring
     center.  After each pivot is measured, its own column (one entry,
     tested only when its child is not empty) decides whether its child is
-    entered; a tried center is not tested again against later pivots'
-    rows.  Then one walk over the open centers, in ascending position,
-    eliminates those whose interval misses the query ball, raises the
-    bounds of the rest, and picks the next pivot: the open measuring
-    center with the smallest bound, the lowest position on ties.  Centers
-    outside the measuring set are never pivots; survivors among them are
-    measured directly at the end, and their children are entered.
+    entered; since the column's lower bound is 0, only its upper bound,
+    the child's covering radius, is tested.  A tried center is not tested
+    again against later pivots' rows.  Then one walk over the open
+    centers, in ascending position, eliminates those whose interval
+    misses the query ball, raises the bounds of the rest, and picks the
+    next pivot: the open measuring center with the smallest bound, the
+    lowest position on ties.  Centers outside the measuring set are never
+    pivots; survivors among them are measured directly at the end, and
+    their children are entered.
 
     Nearest-pivot visit: measure every center, then prune with the single
     table row of the nearest measuring center (lowest position on ties).
 
-    Children of surviving centers go on the stack so that they come off
-    it in ascending position; the visit order cannot change a range result
-    or any counter.
+    A child goes on the stack as soon as it is known to be entered; the
+    visit order cannot change a range result or any counter.
     """
-    stats = QueryStats()
-    results = stats.results
+    results = set()
     q, r = query.obj, query.radius
     objs, dist = tree.dataset.objects, metric.distance
     evals = visited = inspected = 0
     stack = [_search_root(tree)]
     while stack:
         node = stack.pop()
+        visited += 1
         if type(node) is int:
-            visited += 1
             evals += 1
             if dist(q, objs[node]) <= r:
                 results.add(node)
             continue
         if type(node) is list:
-            visited += 1
             evals += len(node)
             for oid in node:
                 if dist(q, objs[oid]) <= r:
                     results.add(oid)
             continue
-        visited += 1
         centers, measuring, lo_rows, hi_rows, children = node
         m = len(centers)
         if egnat:
@@ -166,19 +162,14 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 best = FLOAT_MAX
             e_hi = best - r
             e_lo = best + r
-            lo_row = lo_rows[row]
-            hi_row = hi_rows[row]
-            for j in reversed(range(m)):
-                child = children[j]
-                if child is None or e_hi > hi_row[j] or e_lo < lo_row[j]:
-                    continue
-                stack.append(child)
+            for child, lo, hi in zip(children, lo_rows[row], hi_rows[row]):
+                if child is not None and not (e_hi > hi or e_lo < lo):
+                    stack.append(child)
             continue
         lower = [0.0] * m
         pos = measuring[0]
         opened = list(range(m))
         del opened[pos]
-        entered = []
         while True:
             evals += 1
             c = centers[pos]
@@ -191,10 +182,11 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             hi_row = hi_rows[pos]
             e_hi = e - r                      # eliminate when e - r > hi
             e_lo = e + r                      # eliminate when e + r < lo
-            if children[pos] is not None:     # the pivot's own column
+            child = children[pos]
+            if child is not None:             # the pivot's own column
                 inspected += 1
-                if not (e_hi > hi_row[pos] or e_lo < lo_row[pos]):
-                    entered.append(pos)
+                if not e_hi > hi_row[pos]:
+                    stack.append(child)
             inspected += len(opened)
             kept = []
             nxt = -1
@@ -218,17 +210,12 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             pos = opened.pop(nxt)
         for pos in opened:  # reduced tables: survivors without a table row
             evals += 1
-            entered.append(pos)
-            if dist(q, objs[centers[pos]]) <= r:
-                results.add(centers[pos])
-        entered.sort(reverse=True)
-        for j in entered:
-            if children[j] is not None:
-                stack.append(children[j])
-    stats.distance_evals = evals
-    stats.nodes_visited = visited
-    stats.entries_inspected = inspected
-    return stats
+            c = centers[pos]
+            if dist(q, objs[c]) <= r:
+                results.add(c)
+            if children[pos] is not None:
+                stack.append(children[pos])
+    return QueryStats(results, evals, visited, inspected)
 
 
 def gnat_range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace) -> QueryStats:
@@ -251,10 +238,10 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     measuring center whose bound exceeds the radius, and re-checks the
     radius before each untried center of a reduced table.  A pivot's own
     column is tested with the radius after the pivot was offered to the
-    heap, and a hit raises the child's bound to that entry's gap when the
-    gap is larger.  Surviving children are entered in ascending (lower
-    bound, position) order and skipped when their bound exceeds the
-    radius by then.
+    heap, its upper bound only, and a hit raises the child's bound to the
+    gap e - hi when that is larger.  Surviving children are entered in
+    ascending (lower bound, position) order and skipped when their bound
+    exceeds the radius by then.
 
     The best candidates sit in a size-k heap of (-distance, -id); it starts
     with k sentinels that every candidate beats, so the radius, the k-th
@@ -266,7 +253,6 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     if mode not in DISCIPLINES:
         raise ConfigError(f"unknown search mode {mode!r}")
     egnat = mode == "egnat"
-    stats = QueryStats()
     q = obj
     objs, dist = tree.dataset.objects, metric.distance
     heap = [(-math.inf, -math.inf)] * k   # below every (-d, -id), even d = inf
@@ -339,9 +325,8 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                 if children[pos] is not None:  # the pivot's own column
                     inspected += 1
                     hi = hi_row[pos]
-                    lo = lo_row[pos]
-                    if not (e_hi > hi or e_lo < lo):
-                        gap = e - hi if e - hi > lo - e else lo - e
+                    if not e_hi > hi:
+                        gap = e - hi
                         lb = lower[pos]
                         entered.append((gap if gap > lb else lb, pos))
                 inspected += len(opened)
@@ -384,8 +369,4 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
             if children[j] is not None:
                 stack.append((lb, children[j]))
     ranked = [(-oid, -d) for d, oid in sorted(heap, reverse=True)]
-    stats.results = {oid for oid, _ in ranked}
-    stats.distance_evals = evals
-    stats.nodes_visited = visited
-    stats.entries_inspected = inspected
-    return ranked, stats
+    return ranked, QueryStats({oid for oid, _ in ranked}, evals, visited, inspected)
