@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError
 from .metrics import DistanceCounter, MetricSpace
-from .search import FLOAT_MAX, QueryStats, RangeQuery
+from .search import FLOAT_MAX, KA, KB, QueryStats, RangeQuery
 from .tree import nearest_first
 
 
@@ -59,7 +59,8 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
     object 0; afterwards the candidate with the smallest bound is measured
     next (the first minimum, so the lowest id on ties).  Each round gathers
     the stored distances from the pivot to the other candidates only, and
-    eliminates those whose distance falls outside [e - r, e + r].
+    eliminates those whose distance falls outside [e - r, e + r], widened
+    by gnatty.search's rounding margin.
     """
     n = matrix.n
     if n != len(dataset):
@@ -87,10 +88,9 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
         # ids[:k] lie below the pivot, entries (u, pivot); ids[k:] above it
         stored = np.concatenate((entries[offsets[ids[:k]] + pivot],
                                  entries[offsets[pivot] + ids[k:]]))
-        diffs = np.abs(e - stored)
-        kept = ~(diffs > r)  # a comparison with NaN eliminates nothing
+        kept = (stored >= e * KA - r) & (stored <= (e + r) * KB)
         ids = ids[kept]
-        lower = np.maximum(lower[kept], diffs[kept])
+        lower = np.maximum(lower[kept], np.abs(e - stored[kept]))
     return stats
 
 
@@ -142,7 +142,9 @@ def lc_range_search(cluster_list: ClusterList, query: RangeQuery,
     query ball intersects the covering ball.  When the query ball lies
     strictly inside a covering ball the remaining clusters cannot hold
     results (their objects were all farther from this center than the
-    covering radius) and the scan stops.
+    covering radius) and the scan stops.  Both tests carry
+    gnatty.search's rounding margin, and an overflowed distance is taken
+    as FLOAT_MAX, as the tree search takes it.
     """
     stats = QueryStats()
     dataset = cluster_list.dataset
@@ -154,13 +156,15 @@ def lc_range_search(cluster_list: ClusterList, query: RangeQuery,
         e = dist(q, dataset[cluster.center])
         if e <= r:
             stats.results.add(cluster.center)
+        if e > FLOAT_MAX:
+            e = FLOAT_MAX
         stats.entries_inspected += 1
-        if e <= cluster.radius + r:
+        if not e * KA - r > cluster.radius:
             for oid in cluster.members:
                 stats.distance_evals += 1
                 if dist(q, dataset[oid]) <= r:
                     stats.results.add(oid)
-        if e < cluster.radius - r:
+        if (e + r) * KB < cluster.radius:
             break
     return stats
 

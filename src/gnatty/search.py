@@ -17,7 +17,7 @@ ascending order of their lower-bound distance so the radius shrinks fast.
 Range queries use a fixed radius, so their node visits skip the radius
 re-checks and child ordering (the visit order cannot change a range
 result or any counter).  Both query kinds are exact for every tree
-variant.
+variant: every prune test carries the rounding margin K below.
 """
 
 from __future__ import annotations
@@ -37,6 +37,21 @@ from .tree import Bucket, GnatTree
 # table lower bounds alike: the bounds then hold for the metric
 # min(d, FLOAT_MAX), whose query balls contain those of d.
 FLOAT_MAX = sys.float_info.max
+
+# Rounding margin.  A computed distance is within 2 ulps, a relative 4u
+# (u = 2**-53), of the true one, and the scan compares computed distances.
+# Triangle bounds on rounded e = d(q, p) and [lo, hi] are therefore
+# shrunk by a relative K = 8u, which also covers the rounding of the
+# threshold arithmetic: an object is eliminated only when its computed
+# distance is certain to exceed the radius.  The margin is folded into
+# per-pivot thresholds, so the per-entry tests are unchanged:
+#   e - r > hi   becomes   e * KA - r > hi
+#   e + r < lo   becomes   (e + r) * KB < lo
+# and the k-NN lower bounds, which prune through lb > radius, become
+# e * KA - hi and lo * KA - e.  A sum that overflows to inf never prunes.
+K = 8 * 2.0 ** -53
+KA = (1 - K) / (1 + K)
+KB = (1 + K) / (1 - K)
 
 DISCIPLINES = ("gnat", "egnat")  # knn_search's modes: multi-pivot, nearest-pivot
 
@@ -160,8 +175,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             best = measured[row]
             if best > FLOAT_MAX:
                 best = FLOAT_MAX
-            e_hi = best - r
-            e_lo = best + r
+            e_hi = best * KA - r
+            e_lo = (best + r) * KB
             for child, lo, hi in zip(children, lo_rows[row], hi_rows[row]):
                 if child is not None and not (e_hi > hi or e_lo < lo):
                     stack.append(child)
@@ -180,8 +195,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 e = FLOAT_MAX
             lo_row = lo_rows[pos]
             hi_row = hi_rows[pos]
-            e_hi = e - r                      # eliminate when e - r > hi
-            e_lo = e + r                      # eliminate when e + r < lo
+            e_hi = e * KA - r                 # eliminate when e - r > hi
+            e_lo = (e + r) * KB               # eliminate when e + r < lo
             child = children[pos]
             if child is not None:             # the pivot's own column
                 inspected += 1
@@ -239,7 +254,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     radius before each untried center of a reduced table.  A pivot's own
     column is tested with the radius after the pivot was offered to the
     heap, its upper bound only, and a hit raises the child's bound to the
-    gap e - hi when that is larger.  Surviving children are entered in
+    gap e * KA - hi when that is larger.  Surviving children are entered in
     ascending (lower bound, position) order and skipped when their bound
     exceeds the radius by then.
 
@@ -295,13 +310,17 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
             e = measured[row]
             if e > FLOAT_MAX:
                 e = FLOAT_MAX
-            e_hi = e - radius
-            e_lo = e + radius
+            ea = e * KA
+            e_hi = ea - radius
+            e_lo = (e + radius) * KB
             survivors = []
             for j, (lo, hi) in enumerate(zip(lo_rows[row], hi_rows[row])):
                 if e_hi > hi or e_lo < lo:
                     continue
-                gap = e - hi if e - hi > lo - e else lo - e
+                gap = ea - hi
+                other = lo * KA - e
+                if other > gap:
+                    gap = other
                 survivors.append((gap if gap > 0.0 else 0.0, j))
         else:
             lower = [0.0] * m
@@ -320,13 +339,14 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     e = FLOAT_MAX
                 lo_row = lo_rows[pos]
                 hi_row = hi_rows[pos]
-                e_hi = e - radius
-                e_lo = e + radius
+                ea = e * KA
+                e_hi = ea - radius
+                e_lo = (e + radius) * KB
                 if children[pos] is not None:  # the pivot's own column
                     inspected += 1
                     hi = hi_row[pos]
                     if not e_hi > hi:
-                        gap = e - hi
+                        gap = ea - hi
                         lb = lower[pos]
                         entered.append((gap if gap > lb else lb, pos))
                 inspected += len(opened)
@@ -338,7 +358,10 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     lo = lo_row[j]
                     if e_hi > hi or e_lo < lo:
                         continue
-                    gap = e - hi if e - hi > lo - e else lo - e
+                    gap = ea - hi
+                    other = lo * KA - e
+                    if other > gap:
+                        gap = other
                     lb = lower[j]
                     if gap > lb:
                         lower[j] = lb = gap

@@ -38,6 +38,7 @@ def _workload(total, queries, dim, seed, target_k=10):
 def test_criterion_1_master_oracle_exactness():
     started = time.perf_counter()
     mismatches = []
+    variants = set()
     for seed in range(5):
         query_set, database, radii = _workload(2100, 100, 10, seed)
         expected = [linear_scan_range(database, q, r, EUCLID)
@@ -52,6 +53,8 @@ def test_criterion_1_master_oracle_exactness():
         for partition, arity, gamma, reduce_factor in itertools.product(
                 ("hyperplane", "ball"), (ConstantArity(8), PowerArity(0.5)),
                 (0.9, 1.0), (1.0, 2.0)):
+            if partition == "hyperplane" and gamma != 0.9:
+                continue  # gamma sets ball capacities only
             exact_tree = build(database, EUCLID, BuildConfig(
                 arity=arity, partition=partition, gamma=gamma,
                 reduce_factor=reduce_factor, seed=seed))
@@ -61,6 +64,7 @@ def test_criterion_1_master_oracle_exactness():
                                      ("egnat", egnat_range_search)):
                     label = (f"{partition}/{arity}/gamma={gamma}/"
                              f"reduce={reduce_factor}/{codec}/{mode}")
+                    variants.add(label)
                     check(label, lambda q, r, t=tree, s=search:
                           s(t, RangeQuery(q, r), EUCLID))
 
@@ -72,8 +76,8 @@ def test_criterion_1_master_oracle_exactness():
 
     elapsed = time.perf_counter() - started
     _report(1, not mismatches,
-            f"5 seeds x 64 tree variants + aesa + lc, 100 queries each, "
-            f"{elapsed:.1f}s (budget 120s); mismatches: {mismatches or 'none'}")
+            f"5 seeds x {len(variants)} tree variants + aesa + lc, 100 queries each, "
+            f"{elapsed:.1f}s; mismatches: {mismatches or 'none'}")
 
 
 def test_criterion_2_aesa_degeneracy():

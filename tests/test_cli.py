@@ -1,9 +1,10 @@
 import hashlib
+import random
 import sys
 
 import pytest
 
-from gnatty import GnatNode, cli, generate_uniform_vectors, load_tree, split_queries
+from gnatty import Dataset, GnatNode, cli, generate_uniform_vectors, load_tree, split_queries
 from helpers import save_vectors
 
 SMALL = ["--n", "150", "--dim", "3", "--queries", "10", "--seed", "0"]
@@ -176,6 +177,32 @@ def test_build_prints_one_line_per_structure(capsys):
         "lc bucket=32 codec=exact seed=0",
     ]
     assert all(line.split(": ")[1].startswith("build_evals=") for line in lines)
+
+
+def test_oracle_check_on_grid_points(tmp_path, capsys):
+    # 2-D points on a 0.1 grid form tight triangles, and calibrated radii
+    # are computed distances: without the rounding margin in the prune
+    # tests, gnat range on three exact trees and AESA disagree with the scan
+    rng = random.Random(0)
+    values = [k / 10 for k in range(-9, 10)]
+    path = tmp_path / "grid.txt"
+    save_vectors(Dataset([(rng.choice(values), rng.choice(values)) for _ in range(200)]), path)
+    code = cli.main(["oracle-check", "--dataset", str(path), "--queries", "40",
+                     "--index", "gnatty", "gnat", "aesa", "lc", "--codec", "exact", "fp",
+                     "--search", "gnat", "egnat", "--reduce", "1", "2", "--target-k", "1", "5"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "all variants exact" in out.out
+
+
+def test_build_skips_infeasible_cells(caplog, capsys):
+    # every object is a query, so the database is empty: no tree can be
+    # built over it, and its cell is skipped with a warning
+    code = cli.main(["build", "--n", "10", "--queries", "10", "--index", "gnatty", "aesa"])
+    assert code == 0
+    assert any("skipping infeasible gnatty cell" in record.message for record in caplog.records)
+    assert [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "aesa codec=exact seed=0"]
 
 
 def test_oracle_check_mismatch_exit_code(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -128,6 +129,18 @@ def test_euclidean_distances_bitwise_symmetric(points):
     for a in points[:3]:
         batch = euclid.distances(a, points)
         assert batch == [euclid.distance(b, a) for b in points]
+
+
+@given(st.integers(1, 10).flatmap(lambda dim: st.tuples(
+    *[st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim)] * 2)))
+def test_euclidean_within_two_ulps_of_the_exact_distance(pair):
+    # the rounding margin of gnatty.search rests on this bound: 2 ulps of
+    # a normal float are at most 4 * 2**-53 of its value
+    a, b = pair
+    d = EuclideanMetric().distance(a, b)
+    exact_square = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a, b))
+    slack = 2 * Fraction(math.ulp(d))
+    assert max(Fraction(d) - slack, 0) ** 2 <= exact_square <= (Fraction(d) + slack) ** 2
 
 
 def test_distances_dimension_mismatch(euclid):

@@ -12,8 +12,9 @@ from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, Eu
                     FixedPointParams, MetricSpace, PowerArity, RangeQuery,
                     aesa_build, aesa_range_search, build, egnat_range_search,
                     generate_uniform_vectors, gnat_range_search, iter_nodes, knn_search,
-                    split_queries, with_fixed_point)
+                    lc_build, lc_range_search, split_queries, with_fixed_point)
 from gnatty.bench import calibrate_radius, linear_scan_knn, linear_scan_range
+from gnatty.search import DISCIPLINES, KA, KB
 
 EUCLID = EuclideanMetric()
 
@@ -33,10 +34,10 @@ def subtree_object_ids(node) -> list[int]:
 
 def prune_check(e: float, r: float, lo: float, hi: float) -> bool:
     """The search's elimination test: the closed intervals [e - r, e + r]
-    and [lo, hi] do not intersect, so no object under the child with table
-    interval [lo, hi] lies within distance r of a query at distance e from
-    the pivot."""
-    return e - r > hi or e + r < lo
+    and [lo, hi] do not intersect, with the rounding margin, so no object
+    under the child with table interval [lo, hi] lies within distance r of
+    a query at distance e from the pivot."""
+    return e * KA - r > hi or (e + r) * KB < lo
 
 
 def test_prune_check_examples():
@@ -277,6 +278,55 @@ def test_overflowing_distances_stay_exact(partition, m):
         for k in range(1, 7):
             for mode in ("gnat", "egnat"):
                 assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
+
+
+def test_infinite_lower_bounds_are_searched_as_the_largest_float():
+    # d(-1e308, 1e308) overflows, so the root's rows hold inf lower bounds.
+    # An inf bound is only known to exceed the largest float: read as inf,
+    # it prunes child 2 in the range search and gives the k-NN search a
+    # bound of inf for the child holding both objects at distance 0.
+    ds = Dataset([(x,) for x in (0.0, -9e307, 1.5e308, -1e308, 1e308, 1e308)])
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(3), partition="ball", seed=17))
+    assert any(math.inf in row for row in tree.root.table.decoded_bounds()[0])
+    q = (1e308,)
+    assert linear_scan_range(ds, q, 0.0, EUCLID) == {4, 5}
+    for search in (gnat_range_search, egnat_range_search):
+        assert search(tree, RangeQuery(q, 0.0), EUCLID).results == {4, 5}
+    for k in range(1, 7):
+        for mode in DISCIPLINES:
+            assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.integers(-9, 9), min_size=4, max_size=12),
+       partition=st.sampled_from(["ball", "hyperplane"]),
+       m=st.integers(2, 3),
+       reduce_factor=st.sampled_from([1.0, 2.0]),
+       seed=st.integers(0, 3))
+def test_rounded_tight_triangles_stay_exact(xs, partition, m, reduce_factor, seed):
+    """Collinear points on a 0.1 grid make tight triangles, and a radius
+    equal to a computed distance puts objects exactly on the query ball's
+    edge: a prune test without its rounding margin drops objects the scan
+    keeps.  Every stored point is a query, every computed distance a
+    radius and every k a neighbor count."""
+    ds = Dataset([(0.1 * x, 0.2 * x + 0.3) for x in xs])
+    tree = build(ds, EUCLID, BuildConfig(arity=ConstantArity(m), partition=partition,
+                                         reduce_factor=reduce_factor, seed=seed))
+    matrix = aesa_build(ds, EUCLID)
+    clusters = lc_build(ds, EUCLID, m)
+    radii = {EUCLID.distance(a, b) for a in ds for b in ds}
+    for q in ds:
+        for r in radii:
+            expected = linear_scan_range(ds, q, r, EUCLID)
+            query = RangeQuery(q, r)
+            for search in (gnat_range_search, egnat_range_search):
+                assert search(tree, query, EUCLID).results == expected
+            assert aesa_range_search(matrix, ds, query, EUCLID).results == expected
+            assert lc_range_search(clusters, query, EUCLID).results == expected
+        for k in range(1, len(ds) + 1):
+            expected = linear_scan_knn(ds, q, k, EUCLID)
+            for mode in DISCIPLINES:
+                assert knn_search(tree, q, k, EUCLID, mode)[0] == expected
 
 
 def test_nearest_pivot_row_when_every_center_distance_overflows():

@@ -62,6 +62,12 @@ def test_arity_examples():
     assert arity_for(2, PowerArity(0.1)) == 2    # clamp from below
 
 
+def test_build_config_validation():
+    for bad in (dict(partition="x"), dict(bucket_size=-1)):
+        with pytest.raises(ConfigError):
+            BuildConfig(arity=ConstantArity(2), **bad)
+
+
 def test_arity_policy_validation():
     with pytest.raises(ConfigError):
         ConstantArity(1)
@@ -569,6 +575,28 @@ def test_space_scaling_loglog(power_trees):
     ratios = [table_entry_count(tree) / (n * math.log2(math.log2(n)))
               for n, tree in power_trees.items()]
     assert max(ratios) / min(ratios) < 2.0
+
+
+def test_fixed_point_tables_are_not_encoded_again():
+    ds = generate_uniform_vectors(40, 3, seed=1)
+    params = FixedPointParams(8, 2, 0.2)
+    twin = build(ds, EUCLID, BuildConfig(arity=ConstantArity(4), fixed_point=params, seed=1))
+    with pytest.raises(ConfigError, match="already fixed-point"):
+        with_fixed_point(twin, params)
+    with pytest.raises(ConfigError, match="already fixed-point"):
+        encode_table(twin.root.table, params)
+
+
+@pytest.mark.parametrize("arity", [ConstantArity(8), PowerArity(0.5)])
+@pytest.mark.parametrize("reduce_factor", [1.0, 2.0])
+def test_hyperplane_trees_ignore_gamma(arity, reduce_factor):
+    # gamma sets ball capacities only, so the acceptance suite builds
+    # hyperplane trees for one gamma
+    ds = generate_uniform_vectors(300, 4, seed=6)
+    a, b = (build(ds, EUCLID, BuildConfig(arity=arity, gamma=gamma, reduce_factor=reduce_factor,
+                                          seed=6)) for gamma in (0.9, 1.0))
+    assert a.root == b.root
+    assert a.build_distance_evals == b.build_distance_evals
 
 
 def test_fp_build_equals_reencoded_exact_tree():

@@ -217,6 +217,18 @@ def test_load_rejects_bad_object_ids(tmp_path):
         _assert_rejected(path, ds, edited, match)
 
 
+def test_load_rejects_unknown_kinds_and_counts_past_the_end(tmp_path):
+    ds, path, blob = _saved(tmp_path, BuildConfig(arity=ConstantArity(4), seed=1))
+    centers_at, _, _, _ = _root_offsets(blob)
+    kind_at = centers_at - 5  # the root record: kind byte, center count, centers
+    edited = bytearray(blob)
+    edited[kind_at] = 7
+    _assert_rejected(path, ds, edited, r"corrupt node record \(kind=7\)")
+    edited = bytearray(blob)
+    struct.pack_into("<I", edited, kind_at + 1, 2**32 - 1)
+    _assert_rejected(path, ds, edited, "truncated")
+
+
 def test_load_rejects_bad_measuring_sets(tmp_path):
     config = BuildConfig(arity=ConstantArity(4), reduce_factor=2.0, seed=1)
     ds, path, blob = _saved(tmp_path, config)
