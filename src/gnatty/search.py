@@ -38,13 +38,14 @@ from .tree import Bucket, GnatTree
 # min(d, FLOAT_MAX), whose query balls contain those of d.
 FLOAT_MAX = sys.float_info.max
 
-# Rounding margin.  A computed distance is within 2 ulps, a relative 4u
-# (u = 2**-53), of the true one, and the scan compares computed distances.
-# Triangle bounds on rounded e = d(q, p) and [lo, hi] are therefore
-# shrunk by a relative K = 8u, which also covers the rounding of the
-# threshold arithmetic: an object is eliminated only when its computed
-# distance is certain to exceed the radius.  The margin is folded into
-# per-pivot thresholds, so the per-entry tests are unchanged:
+# Rounding margin.  A computed Euclidean distance is within 2 ulps, a
+# relative 4u (u = 2**-53), of the true one (edit distances are exact),
+# and the scan compares computed distances.  Triangle bounds on rounded
+# e = d(q, p) and [lo, hi] are therefore shrunk by a relative K = 8u,
+# which also covers the rounding of the threshold arithmetic: an object
+# is eliminated only when its computed distance is certain to exceed the
+# radius.  The margin is folded into per-pivot thresholds, so the
+# per-entry tests are unchanged:
 #   e - r > hi   becomes   e * KA - r > hi
 #   e + r < lo   becomes   (e + r) * KB < lo
 # and the k-NN lower bounds, which prune through lb > radius, become

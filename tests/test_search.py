@@ -269,12 +269,14 @@ def test_overflowing_distances_stay_exact(partition, m):
     assert any(math.inf in row for node in iter_nodes(tree.root)
                for row in node.table.decoded_bounds()[1])
     matrix = aesa_build(ds, EUCLID)
+    clusters = lc_build(ds, EUCLID, m)
     for q in ((-17 * unit,), (0.0,), (5 * unit,), (17 * unit,)):
         for r in (0.0, 6 * unit, 14 * unit, 20 * unit, 1e308, sys.float_info.max, math.inf):
             expected = linear_scan_range(ds, q, r, EUCLID)
             for search in (gnat_range_search, egnat_range_search):
                 assert search(tree, RangeQuery(q, r), EUCLID).results == expected
             assert aesa_range_search(matrix, ds, RangeQuery(q, r), EUCLID).results == expected
+            assert lc_range_search(clusters, RangeQuery(q, r), EUCLID).results == expected
         for k in range(1, 7):
             for mode in ("gnat", "egnat"):
                 assert knn_search(tree, q, k, EUCLID, mode)[0] == linear_scan_knn(ds, q, k, EUCLID)
