@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError
 from .metrics import DistanceCounter, MetricSpace
-from .search import FLOAT_MAX, KA, KB, QueryStats, RangeQuery
+from .search import FLOAT_MAX, KA, KB, T, QueryStats, RangeQuery
 from .tree import nearest_first
 
 
@@ -60,7 +60,7 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
     next (the first minimum, so the lowest id on ties).  Each round gathers
     the stored distances from the pivot to the other candidates only, and
     eliminates those whose distance falls outside [e - r, e + r], widened
-    by gnatty.search's rounding margin.
+    by gnatty.search's rounding margins.
     """
     n = matrix.n
     if n != len(dataset):
@@ -88,7 +88,7 @@ def aesa_range_search(matrix: AesaMatrix, dataset: Dataset, query: RangeQuery,
         # ids[:k] lie below the pivot, entries (u, pivot); ids[k:] above it
         stored = np.concatenate((entries[offsets[ids[:k]] + pivot],
                                  entries[offsets[pivot] + ids[k:]]))
-        kept = (stored >= e * KA - r) & (stored <= (e + r) * KB)
+        kept = (stored >= e * KA - r - T) & (stored <= (e + r) * KB + T)
         ids = ids[kept]
         lower = np.maximum(lower[kept], np.abs(e - stored[kept]))
     return stats
@@ -143,7 +143,7 @@ def lc_range_search(cluster_list: ClusterList, query: RangeQuery,
     strictly inside a covering ball the remaining clusters cannot hold
     results (their objects were all farther from this center than the
     covering radius) and the scan stops.  Both tests carry
-    gnatty.search's rounding margin, and an overflowed distance is taken
+    gnatty.search's rounding margins, and an overflowed distance is taken
     as FLOAT_MAX, as the tree search takes it.
     """
     stats = QueryStats()
@@ -159,12 +159,12 @@ def lc_range_search(cluster_list: ClusterList, query: RangeQuery,
         if e > FLOAT_MAX:
             e = FLOAT_MAX
         stats.entries_inspected += 1
-        if not e * KA - r > cluster.radius:
+        if not e * KA - r - T > cluster.radius:
             for oid in cluster.members:
                 stats.distance_evals += 1
                 if dist(q, dataset[oid]) <= r:
                     stats.results.add(oid)
-        if (e + r) * KB < cluster.radius:
+        if (e + r) * KB + T < cluster.radius:
             break
     return stats
 

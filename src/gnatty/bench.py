@@ -27,7 +27,7 @@ from .datasets import (Dataset, generate_random_words, generate_uniform_vectors,
 from .errors import ConfigError
 from .fixedpoint import FixedPointParams, params_for_integer_range
 from .metrics import MetricSpace, metric_by_name
-from .search import DISCIPLINES, RangeQuery, egnat_range_search, gnat_range_search
+from .search import DISCIPLINES, RangeQuery, egnat_range_search, gnat_range_search, knn_search
 from .tree import (BuildConfig, ConstantArity, GnatTree, PowerArity, build, nearest_first,
                    table_bytes, table_entry_count, with_fixed_point)
 
@@ -379,20 +379,32 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def oracle_check(spec: ExperimentSpec) -> list[str]:
     """Compare every grid variant against the linear-scan oracle.
 
-    Returns the labels of variants that disagreed on any query (empty
-    list means everything is exact).  Each query's scan runs once and
-    serves every variant.
+    Range answers are compared for every radius workload.  Every tree
+    variant and search mode also runs knn_search at each calibrated
+    target k, compared with linear_scan_knn: ids and distances, ties to
+    the lower id; such a failure's label reads knn=k.  Returns the labels
+    of variants that disagreed on any query (empty list means everything
+    is exact).  Each query's scan runs once and serves every variant.
     """
     failures: list[str] = []
     for seed, queries, database, _, metric, workloads, variants in sweep(spec):
         expected = [[linear_scan_range(database, obj, radius, metric)
                      for obj, radius in zip(queries, radii)] for _, _, radii in workloads]
+        nearest = {int(value): [linear_scan_knn(database, obj, int(value), metric)
+                                for obj in queries]
+                   for mode, value, _ in workloads if mode == "k"}
         for variant in variants:
+            name = label(variant.index, variant.coords)
             for search, runner in variant.runners.items():
                 for (mode, value, radii), want in zip(workloads, expected):
                     if any(runner(obj, radius).results != w
                            for obj, radius, w in zip(queries, radii, want)):
-                        failures.append(f"seed={seed} {mode}={value} "
-                                        f"{label(variant.index, variant.coords)} search={search}")
+                        failures.append(f"seed={seed} {mode}={value} {name} search={search}")
+                if not isinstance(variant.structure, GnatTree):
+                    continue
+                for k, want in nearest.items():
+                    if any(knn_search(variant.structure, obj, k, metric, search)[0] != w
+                           for obj, w in zip(queries, want)):
+                        failures.append(f"seed={seed} knn={k} {name} search={search}")
     return failures
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,11 +34,25 @@ def rng_stream(seed: int, concern: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), _STREAMS[concern]])
 
 
+def finite_coordinates(vectors) -> bool:
+    """Whether every coordinate of every vector (a tuple of reals) is finite."""
+    return all(map(math.isfinite, chain.from_iterable(vectors)))
+
+
 @dataclass
 class Dataset:
-    """Ordered list of objects; vectors are float tuples, strings are str."""
+    """Ordered list of objects; vectors are float tuples, strings are str.
+
+    Vector coordinates must be finite: a distance from an inf or nan
+    coordinate is inf or nan, which no triangle bound can prune exactly.
+    """
 
     objects: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.dim is not None and not finite_coordinates(self.objects):
+            bad = next(i for i, v in enumerate(self.objects) if not finite_coordinates([v]))
+            raise ConfigError(f"vector {bad} has a non-finite coordinate: {self.objects[bad]}")
 
     def __len__(self) -> int:
         return len(self.objects)

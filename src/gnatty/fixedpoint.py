@@ -52,6 +52,11 @@ class FixedPointParams:
         """Accounting width of one stored value, in bytes."""
         return self.total_bits / 8.0
 
+    @property
+    def code_dtype(self) -> type:
+        """The narrowest unsigned integer type that holds every code."""
+        return np.uint8 if self.total_bits <= 8 else np.uint16
+
 
 def params_for_integer_range(max_value: float, total_bits: int = 8) -> FixedPointParams:
     """Identity-transform params whose representable range covers max_value.

@@ -17,7 +17,7 @@ ascending order of their lower-bound distance so the radius shrinks fast.
 Range queries use a fixed radius, so their node visits skip the radius
 re-checks and child ordering (the visit order cannot change a range
 result or any counter).  Both query kinds are exact for every tree
-variant: every prune test carries the rounding margin K below.
+variant: every prune test carries the rounding margins K and T below.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from heapq import heapreplace
 from itertools import repeat
 
+from .datasets import finite_coordinates
 from .errors import ConfigError
 from .metrics import MetricSpace
 from .tree import Bucket, GnatTree
@@ -44,17 +45,28 @@ FLOAT_MAX = sys.float_info.max
 # e = d(q, p) and [lo, hi] are therefore shrunk by a relative K = 8u,
 # which also covers the rounding of the threshold arithmetic: an object
 # is eliminated only when its computed distance is certain to exceed the
-# radius.  The margin is folded into per-pivot thresholds, so the
-# per-entry tests are unchanged:
-#   e - r > hi   becomes   e * KA - r > hi
-#   e + r < lo   becomes   (e + r) * KB < lo
+# radius.  Below the normal range the kernel's error is absolute, and a
+# subnormal times KA rounds back to itself, so an absolute slack T, far
+# above the kernel's error there and below half an ulp of any threshold
+# above about 1e-305, joins K.  The margins are folded into per-pivot
+# thresholds, so the per-entry tests are unchanged:
+#   e - r > hi   becomes   e * KA - r - T > hi
+#   e + r < lo   becomes   (e + r) * KB + T < lo
 # and the k-NN lower bounds, which prune through lb > radius, become
-# e * KA - hi and lo * KA - e.  A sum that overflows to inf never prunes.
+# e * KA - T - hi and lo * KA - (e + T).  A sum that overflows to inf
+# never prunes.
 K = 8 * 2.0 ** -53
 KA = (1 - K) / (1 + K)
 KB = (1 + K) / (1 - K)
+T = 2.0 ** -1066
 
 DISCIPLINES = ("gnat", "egnat")  # knn_search's modes: multi-pivot, nearest-pivot
+
+
+def _check_query(obj) -> None:
+    """A vector query, like a vector dataset, must have finite coordinates."""
+    if isinstance(obj, tuple) and not finite_coordinates([obj]):
+        raise ConfigError(f"query has a non-finite coordinate: {obj}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,7 @@ class RangeQuery:
     def __post_init__(self):
         if not self.radius >= 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
+        _check_query(self.obj)
 
 
 @dataclass
@@ -176,8 +189,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
             best = measured[row]
             if best > FLOAT_MAX:
                 best = FLOAT_MAX
-            e_hi = best * KA - r
-            e_lo = (best + r) * KB
+            e_hi = best * KA - r - T
+            e_lo = (best + r) * KB + T
             for child, lo, hi in zip(children, lo_rows[row], hi_rows[row]):
                 if child is not None and not (e_hi > hi or e_lo < lo):
                     stack.append(child)
@@ -196,8 +209,8 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 e = FLOAT_MAX
             lo_row = lo_rows[pos]
             hi_row = hi_rows[pos]
-            e_hi = e * KA - r                 # eliminate when e - r > hi
-            e_lo = (e + r) * KB               # eliminate when e + r < lo
+            e_hi = e * KA - r - T             # eliminate when e - r > hi
+            e_lo = (e + r) * KB + T           # eliminate when e + r < lo
             child = children[pos]
             if child is not None:             # the pivot's own column
                 inspected += 1
@@ -268,6 +281,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
         raise ConfigError(f"k must be in [1, {tree.size}], got {k}")
     if mode not in DISCIPLINES:
         raise ConfigError(f"unknown search mode {mode!r}")
+    _check_query(obj)
     egnat = mode == "egnat"
     q = obj
     objs, dist = tree.dataset.objects, metric.distance
@@ -311,15 +325,16 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
             e = measured[row]
             if e > FLOAT_MAX:
                 e = FLOAT_MAX
-            ea = e * KA
+            ea = e * KA - T
+            et = e + T
             e_hi = ea - radius
-            e_lo = (e + radius) * KB
+            e_lo = (e + radius) * KB + T
             survivors = []
             for j, (lo, hi) in enumerate(zip(lo_rows[row], hi_rows[row])):
                 if e_hi > hi or e_lo < lo:
                     continue
                 gap = ea - hi
-                other = lo * KA - e
+                other = lo * KA - et
                 if other > gap:
                     gap = other
                 survivors.append((gap if gap > 0.0 else 0.0, j))
@@ -340,9 +355,10 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     e = FLOAT_MAX
                 lo_row = lo_rows[pos]
                 hi_row = hi_rows[pos]
-                ea = e * KA
+                ea = e * KA - T
+                et = e + T
                 e_hi = ea - radius
-                e_lo = (e + radius) * KB
+                e_lo = (e + radius) * KB + T
                 if children[pos] is not None:  # the pivot's own column
                     inspected += 1
                     hi = hi_row[pos]
@@ -360,7 +376,7 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
                     if e_hi > hi or e_lo < lo:
                         continue
                     gap = ea - hi
-                    other = lo * KA - e
+                    other = lo * KA - et
                     if other > gap:
                         gap = other
                     lb = lower[j]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,43 +78,74 @@ class BuildConfig:
 
 
 class RangeTable:
-    """Interval matrix indexed (measuring pivot row, child column).
+    """Interval table indexed (measuring pivot row, child column), stored
+    without the bounds a search can derive.
 
-    Exact tables store float64 bounds; fixed-point tables store uint16
-    codes plus the codec params.  An upper code of max_code decodes to
-    +inf, which disables upper-bound pruning for that entry but keeps
-    every query exact.
+    Row i is center rows[i]'s, and filled[j] tells whether child j holds
+    objects besides its center.  Two kinds of bound are never stored:
+
+    * a row's own lower bound, d(x, x) = 0: lo is rows x (m - 1), row i
+      without column rows[i];
+    * an empty child's upper bound: its column holds the one distance to
+      its center, so hi equals lo; hi is rows x k, the k filled columns.
+
+    full() puts them back.  Exact tables store float64 bounds; fixed-point
+    tables store codes (uint8 up to 8 bits, else uint16) plus the codec
+    params.  An empty child's upper code is min(lo code + 1, max_code),
+    the code encode_interval gives the point interval [lo, lo].  An upper
+    code of max_code decodes to +inf, which disables upper-bound pruning
+    for that entry but keeps every query exact.
     """
 
-    __slots__ = ("lo", "hi", "fixed_point", "_decoded")
+    __slots__ = ("lo", "hi", "rows", "filled", "fixed_point", "_decoded")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray,
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, rows: list[int], filled: np.ndarray,
                  fixed_point: FixedPointParams | None = None):
         self.lo = lo
         self.hi = hi
+        self.rows = rows
+        self.filled = filled
         self.fixed_point = fixed_point
         self._decoded = None
 
     @property
     def entry_count(self) -> int:
-        return self.lo.shape[0] * self.lo.shape[1]
+        return len(self.rows) * len(self.filled)
 
     @property
     def value_bytes(self) -> float:
         """Accounting width of one stored bound: 4-byte floats, or b/8."""
         return 4.0 if self.fixed_point is None else self.fixed_point.value_bytes
 
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) as rows x m matrices in the stored dtype, the derived
+        bounds put back; hi is the stored array itself when every child
+        is filled."""
+        m = len(self.filled)
+        lo = np.zeros((len(self.rows), m), dtype=self.lo.dtype)
+        lo[_off_own(m, tuple(self.rows))] = self.lo.ravel()
+        if self.hi.shape[1] == m:
+            return lo, self.hi
+        hi = lo.copy()  # an empty child's column: hi = lo, or its point code
+        if self.fixed_point is not None:
+            np.minimum(hi, self.fixed_point.max_code - 1, out=hi)
+            hi += 1
+        hi[:, self.filled] = self.hi
+        return lo, hi
+
     def decoded_bounds(self) -> tuple[list, list]:
-        """Bounds as row lists of floats, decoding fixed-point codes once.
+        """The full() bounds as row lists of floats, decoding fixed-point
+        codes once.
 
         The search records of gnatty.search hold these very lists."""
         if self._decoded is None:
+            lo, hi = self.full()
             if self.fixed_point is None:
-                self._decoded = (self.lo.tolist(), self.hi.tolist())
+                self._decoded = (lo.tolist(), hi.tolist())
             else:
                 # every entry is one of the 2**b shared floats of its code
-                lo = decoded_floats(self.fixed_point)[self.lo]
-                hi = decoded_floats(self.fixed_point, upper=True)[self.hi]
+                lo = decoded_floats(self.fixed_point)[lo]
+                hi = decoded_floats(self.fixed_point, upper=True)[hi]
                 self._decoded = (lo.tolist(), hi.tolist())
         return self._decoded
 
@@ -122,9 +154,20 @@ class RangeTable:
             return NotImplemented
         return (
             self.fixed_point == other.fixed_point
+            and self.rows == other.rows
+            and np.array_equal(self.filled, other.filled)
             and np.array_equal(self.lo, other.lo)
             and np.array_equal(self.hi, other.hi)
         )
+
+
+@lru_cache(maxsize=256)
+def _off_own(m: int, rows: tuple) -> np.ndarray:
+    """The rows x m mask of the entries off each row's own column rows[i]."""
+    mask = np.ones((len(rows), m), dtype=bool)
+    mask[np.arange(len(rows)), rows] = False
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -296,18 +339,22 @@ def child_layout(labels: np.ndarray, center_ids, object_ids):
     return order, starts, [laid[i + 1:e] for i, e in zip(starts.tolist(), ends)]
 
 
-def compute_range_table(dist: np.ndarray, order: np.ndarray, starts: np.ndarray) -> RangeTable:
+def compute_range_table(dist: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                        positions: list[int]) -> RangeTable:
     """Exact [min, max] of distances from each measuring pivot to each
     child's objects, the child's center included.  Nothing is measured:
-    each of the pivots' node_distances rows (dist) in turn is laid out by
-    the node's child_layout (order, starts) and reduced per child."""
-    lo = np.empty((len(dist), len(starts)))
-    hi = np.empty_like(lo)
-    for i, row in enumerate(dist):
-        d = row[order]
-        lo[i] = np.minimum.reduceat(d, starts)
-        hi[i] = np.maximum.reduceat(d, starts)
-    return RangeTable(lo, hi)
+    the pivots' node_distances rows (dist; row i is center positions[i]'s)
+    are laid out by the node's child_layout (order, starts) and reduced
+    per child, one reduceat per bound; the bounds a search derives (see
+    RangeTable) are left out."""
+    laid = dist.take(order, axis=1)
+    lo = np.minimum.reduceat(laid, starts, axis=1)
+    hi = np.maximum.reduceat(laid, starts, axis=1)
+    del laid
+    n_rows, m = lo.shape
+    filled = np.greater(starts.tolist()[1:] + [dist.shape[1]], starts + 1)  # child j has objects
+    return RangeTable(lo[_off_own(m, tuple(positions))].reshape(n_rows, m - 1),
+                      hi.compress(filled, axis=1), positions, filled)
 
 
 def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
@@ -315,7 +362,8 @@ def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
     if table.fixed_point is not None:
         raise ConfigError("table is already fixed-point encoded")
     lo_codes, hi_codes = encode_interval(table.lo, table.hi, params)
-    return RangeTable(lo_codes.astype(np.uint16), hi_codes.astype(np.uint16), params)
+    return RangeTable(lo_codes.astype(params.code_dtype), hi_codes.astype(params.code_dtype),
+                      table.rows, table.filled, params)
 
 
 def build(dataset: Dataset, metric: MetricSpace, config: BuildConfig) -> GnatTree:
@@ -373,7 +421,7 @@ def _build_node(object_ids, dataset, metric, config, pivot_rng, reduce_rng):
         else:
             labels = hyperplane_partition(rest, centers, known, dataset, metric)
         order, starts, children = child_layout(labels, centers, rest)
-        table = compute_range_table(dist, order, starts)
+        table = compute_range_table(dist, order, starts, positions)
         del dist, known  # the children need none of this node's distances
         node = GnatNode(centers, table, [None] * m, positions)
         siblings[slot] = node
@@ -419,6 +467,6 @@ def table_entry_count(tree: GnatTree) -> int:
 
 
 def table_bytes(tree: GnatTree) -> float:
-    """Table storage in bytes: entries x 2 bounds x codec value width."""
-    return sum(node.table.entry_count * 2 * node.table.value_bytes
+    """Table storage in bytes: the stored bounds x codec value width."""
+    return sum((node.table.lo.size + node.table.hi.size) * node.table.value_bytes
                for node in iter_nodes(tree.root))

@@ -1,12 +1,16 @@
 """Versioned binary tree files.
 
-Layout (little endian): magic ``GNTF``, u32 version (2; others are
+Layout (little endian): magic ``GNTF``, u32 version (3; others are
 refused), a length-prefixed JSON echo of the build config, u64 object
 count, pre-order node records, then the u32 ``zlib.crc32`` of every byte
-before it.  Every table is in the config's codec, float64 bounds or uint16
-fixed-point codes, and round-trips as stored; nothing is re-encoded on
-load.  The dataset itself is not stored, the caller supplies it again
-(object count is checked).
+before it.  A bucket record is u8 kind 0, u32 count and the u32 ids; a
+node record is u8 kind 1, u32 center count m, the u32 center ids, u32 row
+count, the u32 measuring set, one u8 per child (1 when it holds objects
+besides its center, the table's filled mask), then the table's compact
+lo and hi arrays (see RangeTable).  Every table is in the config's codec,
+float64 bounds or fixed-point codes of the params' code_dtype, and
+round-trips as stored; nothing is re-encoded on load.  The dataset itself
+is not stored, the caller supplies it again (object count is checked).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .fixedpoint import FixedPointParams
 from .tree import Bucket, BuildConfig, ConstantArity, GnatNode, GnatTree, PowerArity, RangeTable
 
 _MAGIC = b"GNTF"
-_VERSION = 2
+_VERSION = 3
 
 _KIND_BUCKET = 0
 _KIND_NODE = 1
@@ -46,11 +50,15 @@ def _config_from_json(raw: bytes) -> BuildConfig:
                           "fixed_point": None if fp is None else FixedPointParams(**fp)})
 
 
+def _bound_dtype(fp: FixedPointParams | None):
+    return np.float64 if fp is None else fp.code_dtype
+
+
 def _write_node(out: list[bytes], root, fp: FixedPointParams | None, path) -> None:
     """Append the records of root's subtree in pre-order (a node, then each
     child's subtree in turn); an explicit stack keeps deep trees off
     Python's recursion limit.  Every table must be in the codec fp."""
-    dtype = np.float64 if fp is None else np.uint16
+    dtype = _bound_dtype(fp)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -65,6 +73,7 @@ def _write_node(out: list[bytes], root, fp: FixedPointParams | None, path) -> No
         out.append(np.asarray(node.centers, dtype=np.uint32).tobytes())
         out.append(struct.pack("<I", len(node.measuring_set)))
         out.append(np.asarray(node.measuring_set, dtype=np.uint32).tobytes())
+        out.append(table.filled.astype(np.uint8).tobytes())
         out.append(table.lo.astype(dtype, copy=False).tobytes())
         out.append(table.hi.astype(dtype, copy=False).tobytes())
         stack.extend(reversed(node.children))
@@ -109,15 +118,19 @@ def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
 
     Checks what the search relies on: every object id in [0, size) appears
     exactly once, each measuring set is non-empty, strictly ascending and
-    within the node's centers, and no fixed-point code exceeds max_code.
+    within the node's centers, each filled mask agrees with the children
+    read after it, and no fixed-point code exceeds max_code.
     """
-    dtype = np.float64 if fp is None else np.uint16
+    dtype = _bound_dtype(fp)
     ids = []
     top = [None]
-    stack = [(top, 0)]
+    stack = [(top, 0, None)]  # (siblings, slot, the parent's mask flag for the slot)
     while stack:
-        siblings, slot = stack.pop()
+        siblings, slot, flag = stack.pop()
         kind, count = reader.unpack("<BI")
+        if flag is not None and flag != (kind != _KIND_BUCKET or count > 0):
+            raise ConfigError(f"{reader.path}: filled mask says child {slot} is "
+                              f"{'filled' if flag else 'empty'}, its record disagrees")
         if kind == _KIND_BUCKET:
             members = reader.array(np.uint32, count)
             ids.append(members)
@@ -133,13 +146,20 @@ def _read_node(reader: _Reader, fp: FixedPointParams | None, size: int):
                 or any(a >= b for a, b in zip(measuring, measuring[1:]))):
             raise ConfigError(f"{reader.path}: measuring set {measuring} is not "
                               f"a non-empty ascending subset of [0, {count})")
-        bounds = reader.array(dtype, 2 * n_rows * count).reshape(2, n_rows, count)
-        if fp is not None and bounds.max() > fp.max_code:
+        mask = reader.array(np.uint8, count)
+        if mask.max() > 1:
+            raise ConfigError(f"{reader.path}: filled mask byte {mask.max()} is not 0 or 1")
+        filled = mask.astype(bool)
+        lo_size, k = n_rows * (count - 1), int(filled.sum())
+        bounds = reader.array(dtype, lo_size + n_rows * k)
+        if fp is not None and bounds.size and bounds.max() > fp.max_code:
             raise ConfigError(f"{reader.path}: code {bounds.max()} exceeds max_code {fp.max_code}")
-        node = GnatNode(centers.astype(int).tolist(), RangeTable(*bounds, fp), [None] * count,
-                        measuring)
+        table = RangeTable(bounds[:lo_size].reshape(n_rows, count - 1),
+                           bounds[lo_size:].reshape(n_rows, k), measuring, filled, fp)
+        node = GnatNode(centers.astype(int).tolist(), table, [None] * count, measuring)
         siblings[slot] = node
-        stack.extend((node.children, j) for j in reversed(range(count)))
+        flags = filled.tolist()
+        stack.extend((node.children, j, flags[j]) for j in reversed(range(count)))
     stored = np.concatenate(ids).astype(np.int64)
     if len(stored) and stored.max() >= size:
         raise ConfigError(f"{reader.path}: object id {int(stored.max())} outside [0, {size})")

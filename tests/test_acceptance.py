@@ -86,8 +86,9 @@ def test_criterion_2_aesa_degeneracy():
     root = tree.root
     single_node = isinstance(root, GnatNode) and len(root.centers) == len(database) \
         and all(not child.object_ids for child in root.children)
-    lo_hi_equal = bool(np.array_equal(root.table.lo, root.table.hi))
-    symmetric = bool(np.array_equal(root.table.lo, root.table.lo.T))
+    lo, hi = root.table.full()
+    lo_hi_equal = bool(np.array_equal(lo, hi))
+    symmetric = bool(np.array_equal(lo, lo.T))
     matrix = aesa_build(database, EUCLID)
     gnat_total = aesa_total = 0
     results_agree = True

@@ -195,6 +195,41 @@ def test_oracle_check_reports_injected_fault(monkeypatch):
         for seed in (0, 1) for codec in ("exact", "fp")]
 
 
+def test_oracle_check_reports_injected_knn_fault(monkeypatch):
+    # egnat k-NN swaps the ranks of its two nearest objects; its range
+    # answers, gnat k-NN, AESA and LC stay exact
+    real = bench.knn_search
+
+    def swapped(tree, obj, k, metric, mode):
+        ranked, stats = real(tree, obj, k, metric, mode)
+        if mode == "egnat":
+            ranked[:2] = ranked[1::-1]
+        return ranked, stats
+
+    monkeypatch.setattr(bench, "knn_search", swapped)
+    spec = ExperimentSpec(n=160, dim=4, queries=10, seeds=(0, 1),
+                          indexes=("gnatty", "aesa", "lc"), codecs=("exact", "fp"),
+                          searches=("gnat", "egnat"), radii=(0.3,), target_ks=(5, 1),
+                          lc_buckets=(10,))
+    assert oracle_check(spec) == [
+        f"seed={seed} knn=5 gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 "
+        f"codec={codec} reduce=1 search=egnat"
+        for seed in (0, 1) for codec in ("exact", "fp")]
+
+
+def test_oracle_check_runs_knn_per_tree_mode_and_k(monkeypatch):
+    # one k-NN scan per (seed, calibrated k, query), and one knn_search per
+    # tree variant, search mode, k and query; AESA and LC have no k-NN
+    monkeypatch.setattr(bench, "linear_scan_knn", Mock(wraps=bench.linear_scan_knn))
+    monkeypatch.setattr(bench, "knn_search", Mock(wraps=bench.knn_search))
+    spec = ExperimentSpec(n=120, dim=3, queries=10, indexes=("gnatty", "gnat", "aesa", "lc"),
+                          codecs=("exact", "fp"), searches=("gnat", "egnat"), radii=(0.2,),
+                          target_ks=(1, 4), lc_buckets=(10,))
+    assert oracle_check(spec) == []
+    assert bench.linear_scan_knn.call_count == 2 * 10
+    assert bench.knn_search.call_count == 4 * 2 * 2 * 10  # trees x modes x k x queries
+
+
 def test_oracle_check_scans_each_query_once(monkeypatch):
     # one linear scan per (seed, calibrated workload, query), however many
     # variants and search modes share it; the infeasible k=5000 workload is skipped

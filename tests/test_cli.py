@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from gnatty import Dataset, GnatNode, cli, generate_uniform_vectors, load_tree, split_queries
+from gnatty import (Dataset, GnatNode, bench, cli, generate_uniform_vectors, load_tree,
+                    split_queries)
 from helpers import save_vectors
 
 SMALL = ["--n", "150", "--dim", "3", "--queries", "10", "--seed", "0"]
@@ -179,20 +180,43 @@ def test_build_prints_one_line_per_structure(capsys):
     assert all(line.split(": ")[1].startswith("build_evals=") for line in lines)
 
 
-def test_oracle_check_on_grid_points(tmp_path, capsys):
-    # 2-D points on a 0.1 grid form tight triangles, and calibrated radii
-    # are computed distances: without the rounding margin in the prune
-    # tests, gnat range on three exact trees and AESA disagree with the scan
+def _grid_file(tmp_path):
+    """200 2-D points on a 0.1 grid, saved as a vector file."""
     rng = random.Random(0)
     values = [k / 10 for k in range(-9, 10)]
     path = tmp_path / "grid.txt"
     save_vectors(Dataset([(rng.choice(values), rng.choice(values)) for _ in range(200)]), path)
+    return path
+
+
+def test_oracle_check_on_grid_points(tmp_path, capsys):
+    # 2-D points on a 0.1 grid form tight triangles, and calibrated radii
+    # are computed distances: without the rounding margin in the prune
+    # tests, gnat range on three exact trees and AESA disagree with the scan
+    path = _grid_file(tmp_path)
     code = cli.main(["oracle-check", "--dataset", str(path), "--queries", "40",
                      "--index", "gnatty", "gnat", "aesa", "lc", "--codec", "exact", "fp",
                      "--search", "gnat", "egnat", "--reduce", "1", "2", "--target-k", "1", "5"])
     out = capsys.readouterr()
     assert code == 0, out.err
     assert "all variants exact" in out.out
+
+
+def test_oracle_check_compares_knn_on_grid_points(tmp_path, monkeypatch, capsys):
+    # with --target-k, every tree variant and mode also runs k-NN against
+    # the scan, ids and distances: a k-NN search that returns its answer
+    # in reverse order fails only its knn labels
+    real = bench.knn_search
+    monkeypatch.setattr(bench, "knn_search", lambda *args: (real(*args)[0][::-1], None))
+    path = _grid_file(tmp_path)
+    code = cli.main(["oracle-check", "--dataset", str(path), "--queries", "20",
+                     "--index", "gnatty", "aesa", "--search", "gnat", "egnat",
+                     "--target-k", "1", "3"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert [line.removeprefix("MISMATCH ") for line in out.err.splitlines()[:-1]] == [
+        f"seed=0 knn=3 gnatty partition=ball arity=alpha:0.5 gamma=0.9 bucket=0 codec=exact "
+        f"reduce=1 search={mode}" for mode in ("gnat", "egnat")]
 
 
 def test_build_skips_infeasible_cells(caplog, capsys):
@@ -223,6 +247,10 @@ def test_sweep_golden_counters(tmp_path):
     # Re-pinned from bc006c18... when the multi-pivot step began testing
     # each tried pivot's own column: only mean/median_distance_evals moved,
     # down in the 16 gnat-search rows of the gnatty and gnat indexes.
+    # Re-pinned from ff6a891a... when range tables stopped storing the
+    # bounds a search derives (each row's own lower bound, an empty child's
+    # upper bound): only table_bytes moved, down in the 32 gnatty and gnat
+    # rows, by 23.1-23.8% for gnatty and 40.2-40.7% for gnat.
     out = tmp_path / "golden.csv"
     args = ["sweep", "--n", "520", "--dim", "6", "--queries", "20", "--seed", "0",
             "--index", "gnatty", "gnat", "aesa", "lc", "--codec", "exact", "fp",
@@ -230,4 +258,4 @@ def test_sweep_golden_counters(tmp_path):
             "--target-k", "10", "--radius", "0.3", "--out", str(out)]
     assert cli.main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ff6a891a9175a2d79560c1c3a7b23ff886b74b0a046ee5f096b55ef3b7314ec4")
+        "ec4a644021184d8065d95950127d4214a91b999c1c171bca6fd55ee19145405a")

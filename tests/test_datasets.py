@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gnatty import (ConfigError, DatasetFormatError, generate_random_words,
+from gnatty import (ConfigError, Dataset, DatasetFormatError, generate_random_words,
                     generate_uniform_vectors, load_strings, load_vectors, split_queries)
 from helpers import save_vectors
 
@@ -106,3 +108,14 @@ def test_split_queries_deterministic_disjoint():
     assert len(q1) == 100 and len(d1) == 900
     pool = set(map(tuple, ds))
     assert set(map(tuple, q1)).isdisjoint(set()) and len(set(map(tuple, q1)) | set(map(tuple, d1))) == len(pool)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_vectors_refused(bad):
+    # a distance from an inf or nan coordinate is inf or nan, which no
+    # triangle bound prunes exactly: vector data must be finite
+    with pytest.raises(ConfigError, match=r"vector 2 has a non-finite coordinate"):
+        Dataset([(0.0, 1.0), (2.0, 3.0), (4.0, bad)])
+    # finite extremes are fine, and strings are not vectors
+    assert len(Dataset([(1e308, -1e308), (5e-324, 0.0)])) == 2
+    assert len(Dataset(["inf", "nan"])) == 2

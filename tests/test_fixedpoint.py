@@ -12,6 +12,14 @@ from gnatty.fixedpoint import decode_lut, decoded_floats, encode_interval
 Q28 = FixedPointParams(total_bits=8, magnitude_bits=2, beta=1 / 5)
 
 
+def one_row_table(lo, hi):
+    """A one-row table whose row is center 0's and whose children are all
+    filled: lo holds the m - 1 lower bounds off the row's own column, hi
+    all m upper bounds."""
+    return RangeTable(np.array([lo], dtype=float).reshape(1, -1), np.array([hi], dtype=float),
+                      [0], np.ones(len(hi), dtype=bool))
+
+
 def encode_one(lo, hi, params=Q28):
     """The codes of the single interval [lo, hi], as a pair of ints."""
     lo_codes, hi_codes = encode_interval(np.array([lo]), np.array([hi]), params)
@@ -125,32 +133,44 @@ def test_every_code_boundary_rounds_outward(params):
         else:
             # no such code: max_code, which decodes to +inf as an upper bound
             assert hi_code == params.max_code
-            table = encode_table(RangeTable(np.array([[x]]), np.array([[x]])), params)
-            assert table.hi[0, 0] == params.max_code
+            table = encode_table(one_row_table([], [x]), params)
+            assert table.full()[1][0, 0] == params.max_code
             assert table.decoded_bounds()[1] == [[math.inf]]
     # below decode(max_code - 1) every hi code decodes to a finite bound
-    fits = xs[xs < lut[-2]][None, :]
-    assert (encode_table(RangeTable(fits, fits), params).hi < params.max_code).all()
+    fits = xs[xs < lut[-2]]
+    assert (encode_table(one_row_table(fits[1:], fits), params).full()[1] < params.max_code).all()
 
 
 @pytest.mark.parametrize("params", LAYOUTS)
 def test_decoded_bounds_match_numpy_decode(params):
     # the decoded rows are made from shared Python floats; they must equal
     # the numpy decode, +inf for hi codes of max_code, bit for bit
+    # rows of centers 0, 3 and 6, whose own lower bounds are 0; child 2 is
+    # empty, so its column holds one distance: lo = hi
     lut = decode_lut(params)
     rng = np.random.default_rng(params.total_bits)
     top = float(lut[-1])
+    rows, filled = [0, 3, 6], np.arange(7) != 2
+    own = np.zeros((3, 7), dtype=bool)
+    own[range(3), rows] = True
     for scale in (top / 4, top * 2):  # only the second one reaches max_code
-        lo = rng.uniform(0.0, scale, size=(3, 7))
+        lo = np.where(own, 0.0, rng.uniform(0.0, scale, size=(3, 7)))
         hi = lo + rng.uniform(0.0, scale, size=(3, 7))
-        table = encode_table(RangeTable(lo, hi), params)
-        assert (table.hi == params.max_code).any() == (scale > top)
-        expected_hi = np.where(table.hi == params.max_code, np.inf, lut[table.hi])
+        hi[:, 2] = lo[:, 2]
+        table = encode_table(RangeTable(lo[~own].reshape(3, 6), hi[:, filled], rows, filled),
+                             params)
+        assert table.lo.dtype == params.code_dtype and table.hi.dtype == params.code_dtype
+        full_lo, full_hi = table.full()
+        # the derived codes are those of the full interval table
+        assert [c.tolist() for c in encode_interval(lo, hi, params)] == \
+            [full_lo.tolist(), full_hi.tolist()]
+        assert (full_hi == params.max_code).any() == (scale > top)
+        expected_hi = np.where(full_hi == params.max_code, np.inf, lut[full_hi])
         got_lo, got_hi = table.decoded_bounds()
-        assert got_lo == lut[table.lo].tolist()
+        assert got_lo == lut[full_lo].tolist()
         assert got_hi == expected_hi.tolist()
         assert all(type(x) is float for row in got_lo + got_hi for x in row)
-        assert got_lo[0][0] is decoded_floats(params)[table.lo[0, 0]]
+        assert got_lo[0][1] is decoded_floats(params)[full_lo[0, 1]]
         assert [x.hex() for row in got_hi for x in row] == \
             [x.hex() for x in expected_hi.ravel().tolist()]
     assert decoded_floats(params) is decoded_floats(params)

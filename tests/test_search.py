@@ -213,7 +213,7 @@ def test_saturated_tables_stay_exact():
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     tree = build(big, EUCLID, BuildConfig(arity=PowerArity(0.5),
                                           fixed_point=FixedPointParams(8, 2, 0.2), seed=1))
-    assert any((node.table.hi == node.table.fixed_point.max_code).any()
+    assert any((node.table.full()[1] == node.table.fixed_point.max_code).any()
                for node in iter_nodes(tree.root))
     for i in range(0, 300, 23):
         for r in (100.0, 400.0, 1500.0):
@@ -329,6 +329,68 @@ def test_rounded_tight_triangles_stay_exact(xs, partition, m, reduce_factor, see
             expected = linear_scan_knn(ds, q, k, EUCLID)
             for mode in DISCIPLINES:
                 assert knn_search(tree, q, k, EUCLID, mode)[0] == expected
+
+
+SUBNORMAL_SCALES = (5e-324, 1e-322, 3e-320, 1e-310, 2e-308)
+
+
+@st.composite
+def integer_point_sets(draw):
+    """4 to 9 points in 1-D or 2-D with integer coordinates in -9..9."""
+    dim = draw(st.integers(1, 2))
+    point = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
+    return draw(st.lists(point, min_size=4, max_size=9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=integer_point_sets(), seed=st.integers(0, 3))
+def test_subnormal_distances_stay_exact(points, seed):
+    """Below the normal range the kernel's error is absolute, so the
+    relative margin K vanishes (a subnormal times KA rounds back to
+    itself); the absolute slack T keeps every structure exact.  The points
+    are scaled by each of SUBNORMAL_SCALES, the smallest normal float and
+    below.  Every stored point is a query, every computed distance a
+    radius and every k a neighbor count, over the 8 trees of
+    ball/hyperplane x m 2/3 x reduce 1/2, AESA and LC with buckets 1 and 2."""
+    for scale in SUBNORMAL_SCALES:
+        ds = Dataset([tuple(scale * c for c in p) for p in points])
+        trees = [build(ds, EUCLID, BuildConfig(arity=ConstantArity(m), partition=partition,
+                                               reduce_factor=reduce_factor, seed=seed))
+                 for partition, m, reduce_factor in itertools.product(
+                     ("ball", "hyperplane"), (2, 3), (1.0, 2.0))]
+        matrix = aesa_build(ds, EUCLID)
+        lists = [lc_build(ds, EUCLID, bucket) for bucket in (1, 2)]
+        radii = {EUCLID.distance(a, b) for a in ds for b in ds}
+        for q in ds:
+            for r in radii:
+                expected = linear_scan_range(ds, q, r, EUCLID)
+                query = RangeQuery(q, r)
+                for tree in trees:
+                    for search in (gnat_range_search, egnat_range_search):
+                        assert search(tree, query, EUCLID).results == expected
+                assert aesa_range_search(matrix, ds, query, EUCLID).results == expected
+                for clusters in lists:
+                    assert lc_range_search(clusters, query, EUCLID).results == expected
+            for k in range(1, len(ds) + 1):
+                expected = linear_scan_knn(ds, q, k, EUCLID)
+                for tree in trees:
+                    for mode in DISCIPLINES:
+                        assert knn_search(tree, q, k, EUCLID, mode)[0] == expected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_queries_refused(small_world, bad):
+    # the scan would compare inf or nan distances; every structure's query
+    # entry point refuses such a query instead
+    ds, tree = small_world
+    q = (0.5, bad, 0.5, 0.5, 0.5)
+    with pytest.raises(ConfigError, match="query has a non-finite coordinate"):
+        RangeQuery(q, 0.3)
+    for mode in DISCIPLINES:
+        with pytest.raises(ConfigError, match="query has a non-finite coordinate"):
+            knn_search(tree, q, 3, EUCLID, mode)
+    # the words of an edit-distance workload are not vectors
+    assert RangeQuery("inf", 1.0).obj == "inf"
 
 
 def test_nearest_pivot_row_when_every_center_distance_overflows():

@@ -14,6 +14,7 @@ from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset,
                     hyperplane_partition, iter_nodes,
                     table_bytes, table_entry_count, with_fixed_point)
 from gnatty.datasets import rng_stream
+from gnatty.fixedpoint import decode_lut, encode_interval
 from gnatty.tree import arity_for, ball_capacity, child_layout, node_distances, select_pivots
 
 EUCLID = EuclideanMetric()
@@ -280,8 +281,9 @@ def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
         dist = node_distances(centers, positions, objects, dataset, batched)
         lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
         assert batched.count == scalar.count == len(positions) * (m - 1 + len(objects))
-        table = compute_range_table(dist, order, starts)
-        assert np.array_equal(table.lo, lo) and np.array_equal(table.hi, hi)
+        table = compute_range_table(dist, order, starts, positions)
+        full_lo, full_hi = table.full()
+        assert np.array_equal(full_lo, lo) and np.array_equal(full_hi, hi)
         # from known rows, the same cells, less exactly the pairs the rows hold
         known = [None] * m
         for pos, row in zip(positions, dist):
@@ -299,7 +301,7 @@ def test_range_table_examples():
     order, starts, children = child_layout(np.array([1, 1]), [0, 1], [2, 3])
     # each child's center first: center 0 alone, then center 1 with objects 2 and 3
     assert (order.tolist(), starts.tolist(), children) == ([0, 1, 2, 3], [0, 1], [[], [2, 3]])
-    table = compute_range_table(dist, order, starts)
+    table = compute_range_table(dist, order, starts, [0, 1])
     lo, hi = table.decoded_bounds()
     assert lo[0][0] == hi[0][0] == 0.0          # self, empty child
     assert (lo[0][1], hi[0][1]) == (3.0, 5.0)
@@ -312,13 +314,13 @@ def test_range_table_examples():
     known = list(dist[:, 2:])
     labels = hyperplane_partition([2, 3], [0, 1], known, ds, counter)
     assert labels.tolist() == [1, 1]
-    table = compute_range_table(dist, *child_layout(labels, [0, 1], [2, 3])[:2])
+    table = compute_range_table(dist, *child_layout(labels, [0, 1], [2, 3])[:2], [0, 1])
     assert table.decoded_bounds() == ([[0.0, 3.0], [4.0, 0.0]], [[0.0, 5.0], [4.0, 1.0]])
     labels = ball_partition([2, 3], [0, 1], 1.0, known, ds, counter)
     assert labels.tolist() == [0, 1]           # capacity 1: the center at 0 claims 3.0
     order, starts, children = child_layout(labels, [0, 1], [2, 3])
     assert (order.tolist(), starts.tolist(), children) == ([0, 2, 1, 3], [0, 2], [[2], [3]])
-    table = compute_range_table(dist, order, starts)
+    table = compute_range_table(dist, order, starts, [0, 1])
     assert table.decoded_bounds() == ([[0.0, 4.0], [1.0, 0.0]], [[3.0, 5.0], [4.0, 1.0]])
     assert counter.count == 6
     # a reduced table: one row, children laid out in object order
@@ -328,19 +330,19 @@ def test_range_table_examples():
     assert labels.tolist() == [1, 1]
     order, starts, children = child_layout(labels, [0, 1], [3, 2])
     assert children == [[], [3, 2]]
-    table = compute_range_table(dist, order, starts)
+    table = compute_range_table(dist, order, starts, [1])
     assert table.decoded_bounds() == ([[4.0, 0.0]], [[4.0, 1.0]])
     assert counter.count == 3 + 2              # row of center 1, then center 0's cells
 
 
 def test_encode_table_marks_saturation():
-    lo = np.array([[0.0]])
-    hi = np.array([[5000.0]])
+    # one row, its own child filled: [0, 5000]
     from gnatty.tree import RangeTable
 
+    table = RangeTable(np.empty((1, 0)), np.array([[5000.0]]), [0], np.array([True]))
     params = FixedPointParams(8, 2, 0.2)
-    coded = encode_table(RangeTable(lo, hi), params)
-    assert coded.hi[0, 0] == params.max_code
+    coded = encode_table(table, params)
+    assert coded.full()[1][0, 0] == params.max_code
     assert coded.decoded_bounds()[1][0][0] == math.inf
 
 
@@ -396,7 +398,7 @@ def test_build_degenerate_all_centers():
     assert isinstance(root, GnatNode)
     assert root.centers == list(range(16))
     assert all(isinstance(c, Bucket) and not c.object_ids for c in root.children)
-    assert np.array_equal(root.table.lo, root.table.hi)
+    assert np.array_equal(*root.table.full())
     assert table_entry_count(tree) == 256
 
 
@@ -405,8 +407,9 @@ def test_alpha_one_degenerates_to_flat_symmetric_table():
     tree = build(ds, EUCLID, BuildConfig(arity=PowerArity(1.0), seed=4))
     root = tree.root
     assert isinstance(root, GnatNode) and len(root.centers) == 60
-    assert np.array_equal(root.table.lo, root.table.hi)
-    assert np.array_equal(root.table.lo, root.table.lo.T)
+    lo, hi = root.table.full()
+    assert np.array_equal(lo, hi)
+    assert np.array_equal(lo, lo.T)
 
 
 def test_bucket_size_stops_recursion():
@@ -424,8 +427,8 @@ def test_reduced_tables_shape():
     for node in iter_nodes(tree.root):
         m = len(node.centers)
         assert len(node.measuring_set) == math.ceil(m / 2.0)
-        assert node.table.lo.shape[0] == len(node.measuring_set)
-        assert node.table.lo.shape[1] == m
+        assert node.table.full()[0].shape[0] == len(node.measuring_set)
+        assert node.table.full()[0].shape[1] == m
         assert node.measuring_set == sorted(node.measuring_set)
 
 
@@ -489,10 +492,11 @@ def test_table_soundness_exact_and_fixed_point():
     # decoded fixed-point bounds must bracket the exact ones
     for node, fp_node in zip(iter_nodes(tree.root), iter_nodes(fp_tree.root)):
         lo_f, hi_f = fp_node.table.decoded_bounds()
-        for i in range(node.table.lo.shape[0]):
-            for j in range(node.table.lo.shape[1]):
-                assert lo_f[i][j] <= node.table.lo[i, j] + 1e-12
-                assert hi_f[i][j] >= node.table.hi[i, j] - 1e-12
+        lo, hi = node.table.full()
+        for i in range(lo.shape[0]):
+            for j in range(lo.shape[1]):
+                assert lo_f[i][j] <= lo[i, j] + 1e-12
+                assert hi_f[i][j] >= hi[i, j] - 1e-12
 
 
 @pytest.mark.parametrize("partition", ["hyperplane", "ball"])
@@ -614,3 +618,92 @@ def test_fixed_point_quarters_table_bytes(power_trees):
     fp_tree = with_fixed_point(tree, FixedPointParams(8, 2, 0.2))
     assert table_entry_count(fp_tree) == table_entry_count(tree)
     assert table_bytes(fp_tree) * 4 == table_bytes(tree)
+
+
+# ---------------------------------------------------------------- stored layout
+
+
+LAYOUT_CONFIGS = [
+    dict(arity=PowerArity(0.5), partition="ball"),
+    dict(arity=ConstantArity(3), partition="ball", gamma=0.5),
+    dict(arity=ConstantArity(4), partition="hyperplane"),
+    dict(arity=PowerArity(0.5), partition="hyperplane", bucket_size=3),
+]
+
+
+@pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+@pytest.mark.parametrize("reduce_factor", [1.0, 2.0])
+def test_table_bytes_counts_stored_values(config, reduce_factor):
+    ds = generate_uniform_vectors(300, 4, seed=5)
+    tree = build(ds, EUCLID, BuildConfig(**config, reduce_factor=reduce_factor, seed=5))
+    for params, dtype in ((None, np.float64), (FixedPointParams(8, 2, 0.2), np.uint8),
+                          (FixedPointParams(4, 1, 0.7), np.uint8),
+                          (FixedPointParams(12, 4, 0.2), np.uint16)):
+        t = tree if params is None else with_fixed_point(tree, params)
+        stored = 0.0
+        for node in iter_nodes(t.root):
+            table = node.table
+            rows, m = len(node.measuring_set), len(node.centers)
+            filled = [bool(subtree_object_ids(child)) for child in node.children]
+            assert table.filled.tolist() == filled and table.rows is node.measuring_set
+            assert table.lo.shape == (rows, m - 1) and table.hi.shape == (rows, sum(filled))
+            assert table.lo.dtype == table.hi.dtype == dtype
+            stored += (table.lo.size + table.hi.size) * table.value_bytes
+        assert stored == table_bytes(t)
+        assert table_entry_count(t) == table_entry_count(tree)
+
+
+def _reference_rows(node, dataset, metric, params):
+    """A node's table rows from scratch: per child the min and max of the
+    computed distances from the row's pivot to the child's center (0 for
+    the pivot itself) and objects; encoded and decoded with params."""
+    lo = np.zeros((len(node.measuring_set), len(node.centers)))
+    hi = np.zeros_like(lo)
+    for i, pos in enumerate(node.measuring_set):
+        pivot = dataset[node.centers[pos]]
+        for j, (center, child) in enumerate(zip(node.centers, node.children)):
+            ds = [0.0 if j == pos else metric.distance(pivot, dataset[center])]
+            ds += [metric.distance(pivot, dataset[oid]) for oid in subtree_object_ids(child)]
+            lo[i, j], hi[i, j] = min(ds), max(ds)
+    if params is None:
+        return lo.tolist(), hi.tolist()
+    lo_codes, hi_codes = encode_interval(lo, hi, params)
+    upper = decode_lut(params).tolist()
+    upper[-1] = math.inf
+    return decode_lut(params)[lo_codes].tolist(), np.array(upper)[hi_codes].tolist()
+
+
+def _assert_rows_match_reference(tree, exact_tree):
+    for node, exact_node in zip(iter_nodes(tree.root), iter_nodes(exact_tree.root), strict=True):
+        got = node.table.decoded_bounds()
+        want = _reference_rows(exact_node, tree.dataset, EUCLID, tree.config.fixed_point)
+        assert [[x.hex() for x in row] for rows in got for row in rows] == \
+            [[x.hex() for x in row] for rows in want for row in rows]
+
+
+@pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+@pytest.mark.parametrize("reduce_factor", [1.0, 2.0])
+@pytest.mark.parametrize("fixed_point", [None, FixedPointParams(8, 2, 0.2)])
+def test_decoded_rows_match_full_reference(config, reduce_factor, fixed_point):
+    # small nodes leave many children empty: their upper bounds and every
+    # row's own lower bound are derived, not stored
+    ds = generate_uniform_vectors(150, 3, seed=7)
+    tree = build(ds, EUCLID, BuildConfig(**config, reduce_factor=reduce_factor, seed=7))
+    assert any(not table.filled.all() for table in (n.table for n in iter_nodes(tree.root)))
+    t = tree if fixed_point is None else with_fixed_point(tree, fixed_point)
+    _assert_rows_match_reference(t, tree)
+
+
+@pytest.mark.parametrize("fixed_point", [None, FixedPointParams(8, 2, 0.2)])
+def test_decoded_rows_match_full_reference_on_edge_trees(fixed_point):
+    # distances that overflow to inf, and the alpha = 1 single node whose
+    # children are all empty: no upper bound is stored there
+    huge = line_dataset(-1e308, -5e307, 0.0, 1.0, 5e307, 1e308, 7e307, -9e307)
+    flat = generate_uniform_vectors(30, 3, seed=1)
+    for ds, config in ((huge, BuildConfig(arity=ConstantArity(3), partition="ball")),
+                       (huge, BuildConfig(arity=ConstantArity(2))),
+                       (flat, BuildConfig(arity=PowerArity(1.0), seed=1))):
+        tree = build(ds, EUCLID, config)
+        t = tree if fixed_point is None else with_fixed_point(tree, fixed_point)
+        _assert_rows_match_reference(t, tree)
+    assert t.root.table.hi.size == 0 and t.root.table.lo.shape == (30, 29)

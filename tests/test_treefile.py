@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import struct
 import sys
 import zlib
 
+import numpy as np
 import pytest
 
 from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, EuclideanMetric,
-                    FixedPointParams, GnatNode, GnatTree, PowerArity, RangeQuery, build,
-                    generate_uniform_vectors, gnat_range_search, iter_nodes, load_tree,
-                    save_tree, table_entry_count, with_fixed_point)
+                    FixedPointParams, GnatNode, GnatTree, PowerArity, RangeQuery, RangeTable,
+                    build, generate_uniform_vectors, gnat_range_search, iter_nodes, load_tree,
+                    save_tree, table_bytes, table_entry_count, with_fixed_point)
 
 EUCLID = EuclideanMetric()
 
@@ -58,7 +60,7 @@ def test_roundtrip_preserves_saturation_flag(tmp_path):
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     params = FixedPointParams(8, 2, 0.2)
     tree = build(big, EUCLID, BuildConfig(arity=ConstantArity(5), fixed_point=params, seed=2))
-    assert any((node.table.hi == params.max_code).any() for node in iter_nodes(tree.root))
+    assert any((node.table.full()[1] == params.max_code).any() for node in iter_nodes(tree.root))
     path = tmp_path / "sat.gnt"
     save_tree(tree, path)
     loaded = load_tree(path, big)
@@ -130,13 +132,16 @@ def test_golden_tree_file_bytes(tmp_path):
     # changes cannot alter the file format unnoticed.  Re-pinned from
     # eaf71b07... (exact) and 394c90b3... (fp) for format version 2: node
     # records lost their codec and saturation bytes, and a CRC-32 ends the
-    # file.
+    # file.  Re-pinned from 226a7e19... and e117baae... for format version
+    # 3: node records gained the filled mask, tables store only the bounds
+    # a search cannot derive, and 8-bit codes are one byte (20,523 ->
+    # 16,200 bytes exact, 8,414 -> 6,090 fp).
     ds = generate_uniform_vectors(300, 6, seed=0)
     tree = build(ds, EUCLID, BuildConfig(arity=PowerArity(0.5), partition="ball", seed=0))
     twin = with_fixed_point(tree, FixedPointParams(8, 2, 0.2))
     for name, t, digest in [
-        ("exact", tree, "226a7e1939ea0a3320e4848fb3c168227093133d42c69b3f7b4345b7d1f9ae4b"),
-        ("fp", twin, "e117baae83f25fd1cb7366b6e6011bf0ffe7d41f3997758d08d23ff232d09b12"),
+        ("exact", tree, "9e05380142fb716ff5d2faf8346ba87552d31056ed1599c4cd75a0badc2758cc"),
+        ("fp", twin, "069fae54f4e5a8820ad5b1ee247c0af7e1e519396446a482fe9f75cec57c716c"),
     ]:
         path = tmp_path / f"{name}.gnt"
         save_tree(t, path)
@@ -186,15 +191,16 @@ def _reseal(blob):
 
 
 def _root_offsets(blob):
-    """Byte offsets of the root record's centers, row count, measuring set
-    and table (header: magic, version, config, object count; the record:
-    kind byte, center count, ...)."""
+    """Byte offsets of the root record's centers, row count, measuring set,
+    filled mask and table (header: magic, version, config, object count;
+    the record: kind byte, center count, ...)."""
     (config_len,) = struct.unpack_from("<I", blob, 8)
     count_at = 12 + config_len + 8 + 1
     (count,) = struct.unpack_from("<I", blob, count_at)
     rows_at = count_at + 4 + 4 * count
     (n_rows,) = struct.unpack_from("<I", blob, rows_at)
-    return count_at + 4, rows_at, rows_at + 4, rows_at + 4 + 4 * n_rows
+    mask_at = rows_at + 4 + 4 * n_rows
+    return count_at + 4, rows_at, rows_at + 4, mask_at, mask_at + count
 
 
 def _assert_rejected(path, ds, blob, match):
@@ -206,7 +212,7 @@ def _assert_rejected(path, ds, blob, match):
 
 def test_load_rejects_bad_object_ids(tmp_path):
     ds, path, blob = _saved(tmp_path, BuildConfig(arity=ConstantArity(4), seed=1))
-    centers_at, _, _, _ = _root_offsets(blob)
+    centers_at, *_ = _root_offsets(blob)
     (second,) = struct.unpack_from("<I", blob, centers_at + 4)
     # out of range, or an id flipped to another object's: one object twice,
     # the flipped one never
@@ -219,7 +225,7 @@ def test_load_rejects_bad_object_ids(tmp_path):
 
 def test_load_rejects_unknown_kinds_and_counts_past_the_end(tmp_path):
     ds, path, blob = _saved(tmp_path, BuildConfig(arity=ConstantArity(4), seed=1))
-    centers_at, _, _, _ = _root_offsets(blob)
+    centers_at, *_ = _root_offsets(blob)
     kind_at = centers_at - 5  # the root record: kind byte, center count, centers
     edited = bytearray(blob)
     edited[kind_at] = 7
@@ -232,37 +238,40 @@ def test_load_rejects_unknown_kinds_and_counts_past_the_end(tmp_path):
 def test_load_rejects_bad_measuring_sets(tmp_path):
     config = BuildConfig(arity=ConstantArity(4), reduce_factor=2.0, seed=1)
     ds, path, blob = _saved(tmp_path, config)
-    _, rows_at, measuring_at, table_at = _root_offsets(blob)
+    _, rows_at, measuring_at, mask_at, table_at = _root_offsets(blob)
     assert struct.unpack_from("<I", blob, rows_at) == (2,)
     a, b = struct.unpack_from("<II", blob, measuring_at)
     for pair in [(b, a), (a, a), (a, 4)]:  # descending, repeated, outside [0, 4)
         edited = bytearray(blob)
         struct.pack_into("<II", edited, measuring_at, *pair)
         _assert_rejected(path, ds, edited, "measuring set")
-    # an empty measuring set, with the table rows it sized cut out too
-    table_end = table_at + 2 * (2 * 4) * 8  # lo and hi, 2 x 4 float64s each
+    # an empty measuring set, with the mask and table rows it sized cut out
+    # too: lo is 2 x 3 float64s, hi 2 x (filled children)
+    table_end = table_at + (2 * 3 + 2 * sum(blob[mask_at:table_at])) * 8
     edited = blob[:rows_at] + struct.pack("<I", 0) + blob[table_end:]
     _assert_rejected(path, ds, edited, "measuring set")
 
 
 def test_load_rejects_codes_above_max_code(tmp_path):
-    params = FixedPointParams(8, 2, 0.2)
+    # 12-bit codes are stored as uint16, so a code can exceed max_code
+    params = FixedPointParams(12, 4, 0.2)
     config = BuildConfig(arity=ConstantArity(4), fixed_point=params, seed=1)
     ds, path, blob = _saved(tmp_path, config)
-    _, _, _, table_at = _root_offsets(blob)
-    for at in (table_at, table_at + 2 * 4 * 4):  # first lo code, first hi code
+    *_, mask_at, table_at = _root_offsets(blob)
+    assert blob[mask_at:table_at] == b"\x01" * 4
+    for at in (table_at, table_at + 2 * 4 * 3):  # first lo code, first hi code
         edited = bytearray(blob)
         struct.pack_into("<H", edited, at, params.max_code + 1)
         _assert_rejected(path, ds, edited, "exceeds max_code")
 
 
 
-# ---------------------------------------------------------------- format version 2
+# ---------------------------------------------------------------- format versions
 
 # save_tree output of format version 1, whose node records carried a codec
-# and a saturation byte, for build(V1_DATASET, EUCLID, BuildConfig(
+# and a saturation byte, for build(OLD_DATASET, EUCLID, BuildConfig(
 # arity=ConstantArity(2), fixed_point=FixedPointParams(8, 2, 0.2)))
-V1_DATASET = Dataset([(0.0,), (1.0,), (3.0,)])
+OLD_DATASET = Dataset([(0.0,), (1.0,), (3.0,)])
 V1_FILE = (
     b"GNTF\x01\x00\x00\x00\xc7\x00\x00\x00"
     b'{"arity": {"kind": "constant", "m": 2}, "bucket_size": 0, "fixed_point": '
@@ -275,22 +284,102 @@ V1_FILE = (
     b"\x00\x00@\x00@\x00\x00\x00\x01\x00P\x00A\x00J\x00"      # lo and hi codes
     b"\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00"  # buckets [], [2]
 )
+# format version 2 of the same tree: no codec bytes, full 2 x 2 uint16
+# lo and hi code tables, and a CRC-32 at the end
+V2_FILE = (V1_FILE[:4] + struct.pack("<I", 2) + V1_FILE[8:-(2 + 16 + 14)] + V1_FILE[-(16 + 14):]
+           + b"\xe5\x95\xb4F")
+
+
+def _assert_version_refused(tmp_path, blob, version):
+    path = tmp_path / "old.gnt"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match=f"version {version}") as err:
+        load_tree(path, OLD_DATASET)
+    assert str(path) in str(err.value)
 
 
 def test_v1_file_refused(tmp_path):
-    path = tmp_path / "v1.gnt"
-    path.write_bytes(V1_FILE)
-    with pytest.raises(ConfigError, match="version 1") as err:
-        load_tree(path, V1_DATASET)
-    assert str(path) in str(err.value)
-    # the same tree saved now: version 2, no codec bytes, a checksum
-    tree = build(V1_DATASET, EUCLID, BuildConfig(arity=ConstantArity(2),
+    _assert_version_refused(tmp_path, V1_FILE, 1)
+
+
+def test_v2_file_refused(tmp_path):
+    _assert_version_refused(tmp_path, V2_FILE, 2)
+
+
+def test_v3_file_layout(tmp_path):
+    # the tree of V2_FILE saved as version 3: child 0 is empty, so the
+    # filled mask is 0, 1; lo drops each row's own column (codes 0) and
+    # keeps 64, 64; hi keeps child 1's column, 80 and 74, and derives
+    # child 0's, 1 and 65 (one above its lo code); codes are uint8
+    tree = build(OLD_DATASET, EUCLID, BuildConfig(arity=ConstantArity(2),
                                                   fixed_point=FixedPointParams(8, 2, 0.2)))
+    path = tmp_path / "v3.gnt"
     save_tree(tree, path)
     blob = path.read_bytes()
-    v1_body = V1_FILE[:-(2 + 16 + 14)] + V1_FILE[-(16 + 14):]   # less the codec bytes
-    assert blob[:-4] == v1_body[:4] + struct.pack("<I", 2) + v1_body[8:]
-    assert _same_node(load_tree(path, V1_DATASET).root, tree.root)
+    header = V2_FILE[:4] + struct.pack("<I", 3) + V2_FILE[8:12 + 0xc7 + 8]
+    root = (b"\x01\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"  # centers 0, 1
+            b"\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"      # measuring set 0, 1
+            b"\x00\x01"                                          # filled mask
+            b"@@"                                                # lo codes
+            b"PJ")                                               # hi codes
+    buckets = b"\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+    assert blob == header + root + buckets + struct.pack("<I", zlib.crc32(header + root + buckets))
+    loaded = load_tree(path, OLD_DATASET)
+    assert _same_node(loaded.root, tree.root)
+    assert [c.tolist() for c in loaded.root.table.full()] == [[[0, 64], [64, 0]],
+                                                              [[1, 80], [65, 74]]]
+
+
+def _with_root_table(tree, table):
+    return GnatTree(dataclasses.replace(tree.root, table=table), tree.config, tree.dataset)
+
+
+def test_mask_disagreeing_with_children_refused(tmp_path):
+    # a root whose mask marks child 0 filled, with a hi column for it,
+    # though its bucket is empty; and a root that marks a filled child empty
+    tree = build(OLD_DATASET, EUCLID, BuildConfig(arity=ConstantArity(2)))
+    table = tree.root.table
+    assert table.filled.tolist() == [False, True]
+    lying = [RangeTable(table.lo, np.hstack([table.lo, table.hi]), table.rows,
+                        np.array([True, True])),
+             RangeTable(table.lo, table.hi[:, :0], table.rows, np.array([False, False]))]
+    path = tmp_path / "lying.gnt"
+    for bad, slot, says in zip(lying, (0, 1), ("filled", "empty")):
+        save_tree(_with_root_table(tree, bad), path)
+        with pytest.raises(ConfigError, match=f"child {slot} is {says}") as err:
+            load_tree(path, OLD_DATASET)
+        assert str(path) in str(err.value)
+
+
+def _table_section(tree, blob) -> int:
+    """Bytes of blob, tree's save_tree output, that hold table bounds: all
+    but the header, the checksum and the node records' ids, counts and
+    masks."""
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    other = 4 + 4 + 4 + config_len + 8 + 4
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bucket):
+            other += 1 + 4 + 4 * len(node.object_ids)
+        else:
+            m = len(node.centers)
+            other += 1 + 4 + 4 * m + 4 + 4 * len(node.measuring_set) + m
+            stack.extend(node.children)
+    return len(blob) - other
+
+
+def test_file_table_section_is_table_bytes(tmp_path):
+    # 8-bit codes are stored in one byte each, as table_bytes charges them;
+    # exact bounds are stored as float64, where 4 bytes are charged
+    ds = generate_uniform_vectors(400, 5, seed=2)
+    path = tmp_path / "tree.gnt"
+    for config in (BuildConfig(arity=PowerArity(0.5), partition="ball", seed=2),
+                   BuildConfig(arity=ConstantArity(6), reduce_factor=2.0, seed=2)):
+        tree = build(ds, EUCLID, config)
+        for t, factor in ((tree, 2), (with_fixed_point(tree, FixedPointParams(8, 2, 0.2)), 1)):
+            save_tree(t, path)
+            assert _table_section(t, path.read_bytes()) == factor * table_bytes(t)
 
 
 def test_edited_codec_params_refused(tmp_path):
@@ -312,7 +401,7 @@ def test_edited_codec_params_refused(tmp_path):
 
 def test_unsealed_byte_edit_refused(tmp_path):
     ds, path, blob = _saved(tmp_path, BuildConfig(arity=ConstantArity(4), seed=1))
-    _, _, _, table_at = _root_offsets(blob)
+    *_, table_at = _root_offsets(blob)
     for at in (table_at, len(blob) - 1):  # a table bound, the checksum itself
         edited = bytearray(blob)
         edited[at] ^= 0x01
