@@ -123,7 +123,7 @@ class RangeTable:
         is filled."""
         m = len(self.filled)
         lo = np.zeros((len(self.rows), m), dtype=self.lo.dtype)
-        lo[_off_own(m, tuple(self.rows))] = self.lo.ravel()
+        lo.put(_off_own(m, tuple(self.rows)), self.lo)
         if self.hi.shape[1] == m:
             return lo, self.hi
         hi = lo.copy()  # an empty child's column: hi = lo, or its point code
@@ -161,13 +161,26 @@ class RangeTable:
         )
 
 
+# compute_range_table lays out at most this many distances at a time
+_BLOCK_VALUES = 1 << 16
+
+
 @lru_cache(maxsize=256)
 def _off_own(m: int, rows: tuple) -> np.ndarray:
-    """The rows x m mask of the entries off each row's own column rows[i]."""
-    mask = np.ones((len(rows), m), dtype=bool)
-    mask[np.arange(len(rows)), rows] = False
-    mask.flags.writeable = False
-    return mask
+    """Flat indices into a len(rows) x m matrix of the entries off each
+    row's own column rows[i]: len(rows) rows of m - 1."""
+    index = np.arange(len(rows) * m).reshape(len(rows), m)
+    keep = np.ones(index.shape, dtype=bool)
+    keep[np.arange(len(rows)), rows] = False
+    index = index[keep].reshape(len(rows), m - 1)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=1024)
+def _filled(flags: bytes) -> np.ndarray:
+    """One shared read-only mask per pattern of filled children."""
+    return np.frombuffer(flags, dtype=bool)
 
 
 @dataclass
@@ -345,16 +358,23 @@ def compute_range_table(dist: np.ndarray, order: np.ndarray, starts: np.ndarray,
     child's objects, the child's center included.  Nothing is measured:
     the pivots' node_distances rows (dist; row i is center positions[i]'s)
     are laid out by the node's child_layout (order, starts) and reduced
-    per child, one reduceat per bound; the bounds a search derives (see
-    RangeTable) are left out."""
-    laid = dist.take(order, axis=1)
-    lo = np.minimum.reduceat(laid, starts, axis=1)
-    hi = np.maximum.reduceat(laid, starts, axis=1)
-    del laid
-    n_rows, m = lo.shape
-    filled = np.greater(starts.tolist()[1:] + [dist.shape[1]], starts + 1)  # child j has objects
-    return RangeTable(lo[_off_own(m, tuple(positions))].reshape(n_rows, m - 1),
-                      hi.compress(filled, axis=1), positions, filled)
+    per child, one reduceat per bound over a block of rows (the whole
+    node but for its largest ones, whose laid-out copy would double the
+    block's memory); the bounds a search derives (see RangeTable) are
+    left out."""
+    n_rows, width = dist.shape
+    m = len(starts)
+    lo = np.empty((n_rows, m))
+    hi = np.empty_like(lo)
+    step = max(1, _BLOCK_VALUES // width)
+    for i in range(0, n_rows, step):
+        laid = dist[i:i + step].take(order, axis=1)
+        np.minimum.reduceat(laid, starts, axis=1, out=lo[i:i + step])
+        np.maximum.reduceat(laid, starts, axis=1, out=hi[i:i + step])
+    ends = starts.tolist() + [width]
+    filled = _filled(bytes([ends[j + 1] - ends[j] > 1 for j in range(m)]))  # j has objects
+    return RangeTable(lo.take(_off_own(m, tuple(positions))), hi.compress(filled, axis=1),
+                      positions, filled)
 
 
 def encode_table(table: RangeTable, params: FixedPointParams) -> RangeTable:
