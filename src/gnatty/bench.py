@@ -213,7 +213,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         BuildConfig(arity=ConstantArity(2), partition=partition, gamma=gamma,
                     bucket_size=bucket, reduce_factor=reduce_factor)
     for radius in spec.radii:
-        RangeQuery(None, radius)
+        RangeQuery((), radius)  # the query object does not matter here
 
 
 # A variant's coordinates, in ResultRow and label order; the baselines

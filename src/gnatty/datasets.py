@@ -34,14 +34,19 @@ def rng_stream(seed: int, concern: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), _STREAMS[concern]])
 
 
-def finite_coordinates(vectors) -> bool:
-    """Whether every coordinate of every vector (a tuple of reals) is finite."""
-    return all(map(math.isfinite, chain.from_iterable(vectors)))
+def finite_coordinates(objects) -> bool:
+    """Whether every coordinate of every vector among objects is finite.
+
+    Every object that is not a str is a vector: a tuple, list or array
+    row of reals."""
+    return all(map(math.isfinite, chain.from_iterable(
+        obj for obj in objects if not isinstance(obj, str))))
 
 
 @dataclass
 class Dataset:
-    """Ordered list of objects; vectors are float tuples, strings are str.
+    """Ordered list of objects: strings are str, every other object is a
+    vector of reals (a tuple, list or array row).
 
     Vector coordinates must be finite: a distance from an inf or nan
     coordinate is inf or nan, which no triangle bound can prune exactly.
@@ -50,7 +55,7 @@ class Dataset:
     objects: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.dim is not None and not finite_coordinates(self.objects):
+        if not finite_coordinates(self.objects):
             bad = next(i for i, v in enumerate(self.objects) if not finite_coordinates([v]))
             raise ConfigError(f"vector {bad} has a non-finite coordinate: {self.objects[bad]}")
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+the config classes."""
+
+import operator
 
 
 class GnattyError(Exception):
@@ -20,3 +23,12 @@ class DatasetFormatError(GnattyError):
 
 class OracleMismatchError(GnattyError):
     """An index returned results that differ from the linear-scan oracle (CLI exit code 3)."""
+
+
+def integer(name: str, value) -> int:
+    """value as an int when operator.index takes it (ints, numpy ints),
+    else ConfigError: a float such as 8.0 is not an integer field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class FixedPointParams:
     beta: float = 0.2
 
     def __post_init__(self):
+        for name in ("total_bits", "magnitude_bits"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if not 1 <= self.magnitude_bits <= self.total_bits <= 16:
             raise ConfigError(
                 f"need 1 <= magnitude_bits <= total_bits <= 16, got "
@@ -93,14 +95,11 @@ def decode_lut(params: FixedPointParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def decoded_floats(params: FixedPointParams, upper: bool = False) -> np.ndarray:
-    """decode_lut(params) as an object array of Python floats, so that
-    every table decoded with params shares the same 2**total_bits float
-    objects; with upper, for upper bounds, max_code decodes to +inf."""
+def decoded_floats(params: FixedPointParams, upper: bool = False) -> tuple[float, ...]:
+    """decode_lut(params) as a tuple of Python floats, so that every table
+    decoded with params shares the same 2**total_bits float objects; with
+    upper, for upper bounds, max_code decodes to +inf."""
     values = decode_lut(params).tolist()
     if upper:
         values[-1] = math.inf
-    floats = np.empty(len(values), dtype=object)
-    floats[:] = values
-    floats.flags.writeable = False
-    return floats
+    return tuple(values)

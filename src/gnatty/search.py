@@ -65,7 +65,7 @@ DISCIPLINES = ("gnat", "egnat")  # knn_search's modes: multi-pivot, nearest-pivo
 
 def _check_query(obj) -> None:
     """A vector query, like a vector dataset, must have finite coordinates."""
-    if isinstance(obj, tuple) and not finite_coordinates([obj]):
+    if not finite_coordinates([obj]):
         raise ConfigError(f"query has a non-finite coordinate: {obj}")
 
 

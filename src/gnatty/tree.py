@@ -18,11 +18,12 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
 from .datasets import Dataset, rng_stream
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .fixedpoint import FixedPointParams, decoded_floats, encode_interval
 from .metrics import DistanceCounter, MetricSpace
 
@@ -34,6 +35,7 @@ class ConstantArity:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", integer("constant arity", self.m))
         if self.m < 2:
             raise ConfigError(f"constant arity must be >= 2, got {self.m}")
 
@@ -67,6 +69,8 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("bucket_size", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.partition not in PARTITIONS:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if not 0.0 < self.gamma <= 1.0:
@@ -75,6 +79,8 @@ class BuildConfig:
             raise ConfigError(f"bucket_size must be >= 0, got {self.bucket_size}")
         if not self.reduce_factor >= 1.0:
             raise ConfigError(f"reduce_factor must be >= 1, got {self.reduce_factor}")
+        if self.reduce_factor == math.inf:  # it would leave every node without a row
+            raise ConfigError(f"reduce_factor must be finite, got {self.reduce_factor}")
 
 
 class RangeTable:
@@ -89,12 +95,12 @@ class RangeTable:
     * an empty child's upper bound: its column holds the one distance to
       its center, so hi equals lo; hi is rows x k, the k filled columns.
 
-    full() puts them back.  Exact tables store float64 bounds; fixed-point
-    tables store codes (uint8 up to 8 bits, else uint16) plus the codec
-    params.  An empty child's upper code is min(lo code + 1, max_code),
-    the code encode_interval gives the point interval [lo, lo].  An upper
-    code of max_code decodes to +inf, which disables upper-bound pruning
-    for that entry but keeps every query exact.
+    decoded_bounds() puts them back.  Exact tables store float64 bounds;
+    fixed-point tables store codes (uint8 up to 8 bits, else uint16) plus
+    the codec params.  An empty child's upper code is min(lo code + 1,
+    max_code), the code encode_interval gives the point interval [lo, lo].
+    An upper code of max_code decodes to +inf, which disables upper-bound
+    pruning for that entry but keeps every query exact.
     """
 
     __slots__ = ("lo", "hi", "rows", "filled", "fixed_point", "_decoded")
@@ -117,36 +123,37 @@ class RangeTable:
         """Accounting width of one stored bound: 4-byte floats, or b/8."""
         return 4.0 if self.fixed_point is None else self.fixed_point.value_bytes
 
-    def full(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) as rows x m matrices in the stored dtype, the derived
-        bounds put back; hi is the stored array itself when every child
-        is filled."""
-        m = len(self.filled)
-        lo = np.zeros((len(self.rows), m), dtype=self.lo.dtype)
-        lo.put(_off_own(m, tuple(self.rows)), self.lo)
-        if self.hi.shape[1] == m:
-            return lo, self.hi
-        hi = lo.copy()  # an empty child's column: hi = lo, or its point code
-        if self.fixed_point is not None:
-            np.minimum(hi, self.fixed_point.max_code - 1, out=hi)
-            hi += 1
-        hi[:, self.filled] = self.hi
-        return lo, hi
-
     def decoded_bounds(self) -> tuple[list, list]:
-        """The full() bounds as row lists of floats, decoding fixed-point
-        codes once.
+        """(lo, hi) as rows x m lists of floats, the derived bounds put
+        back and fixed-point codes decoded, in one pass, once.
 
         The search records of gnatty.search hold these very lists."""
         if self._decoded is None:
-            lo, hi = self.full()
-            if self.fixed_point is None:
-                self._decoded = (lo.tolist(), hi.tolist())
+            fp = self.fixed_point
+            lo = self.lo.tolist()
+            for row, own in zip(lo, self.rows):
+                row.insert(own, 0.0 if fp is None else 0)  # code 0 decodes to 0.0
+            filled = self.filled.tolist()
+            if all(filled):
+                hi = self.hi.tolist()
             else:
+                # an empty child's column: hi = lo, or its point code
+                if fp is None:
+                    hi = [row.copy() for row in lo]
+                else:
+                    top = fp.max_code
+                    hi = [[c + 1 if c < top else top for c in row] for row in lo]
+                columns = list(compress(range(len(filled)), filled))
+                for row, stored in zip(hi, self.hi.tolist()):
+                    for j, bound in zip(columns, stored):
+                        row[j] = bound
+            if fp is not None:
                 # every entry is one of the 2**b shared floats of its code
-                lo = decoded_floats(self.fixed_point)[lo]
-                hi = decoded_floats(self.fixed_point, upper=True)[hi]
-                self._decoded = (lo.tolist(), hi.tolist())
+                lo_floats = decoded_floats(fp).__getitem__
+                hi_floats = decoded_floats(fp, upper=True).__getitem__
+                lo = [list(map(lo_floats, row)) for row in lo]
+                hi = [list(map(hi_floats, row)) for row in hi]
+            self._decoded = (lo, hi)
         return self._decoded
 
     def __eq__(self, other):
@@ -163,18 +170,6 @@ class RangeTable:
 
 # compute_range_table lays out at most this many distances at a time
 _BLOCK_VALUES = 1 << 16
-
-
-@lru_cache(maxsize=256)
-def _off_own(m: int, rows: tuple) -> np.ndarray:
-    """Flat indices into a len(rows) x m matrix of the entries off each
-    row's own column rows[i]: len(rows) rows of m - 1."""
-    index = np.arange(len(rows) * m).reshape(len(rows), m)
-    keep = np.ones(index.shape, dtype=bool)
-    keep[np.arange(len(rows)), rows] = False
-    index = index[keep].reshape(len(rows), m - 1)
-    index.flags.writeable = False
-    return index
 
 
 @lru_cache(maxsize=1024)
@@ -373,7 +368,8 @@ def compute_range_table(dist: np.ndarray, order: np.ndarray, starts: np.ndarray,
         np.maximum.reduceat(laid, starts, axis=1, out=hi[i:i + step])
     ends = starts.tolist() + [width]
     filled = _filled(bytes([ends[j + 1] - ends[j] > 1 for j in range(m)]))  # j has objects
-    return RangeTable(lo.take(_off_own(m, tuple(positions))), hi.compress(filled, axis=1),
+    off_own = np.arange(m) != np.array(positions)[:, None]
+    return RangeTable(lo[off_own].reshape(n_rows, m - 1), hi.compress(filled, axis=1),
                       positions, filled)
 
 

@@ -86,9 +86,9 @@ def test_criterion_2_aesa_degeneracy():
     root = tree.root
     single_node = isinstance(root, GnatNode) and len(root.centers) == len(database) \
         and all(not child.object_ids for child in root.children)
-    lo, hi = root.table.full()
-    lo_hi_equal = bool(np.array_equal(lo, hi))
-    symmetric = bool(np.array_equal(lo, lo.T))
+    lo, hi = root.table.decoded_bounds()
+    lo_hi_equal = lo == hi
+    symmetric = bool(np.array_equal(np.array(lo), np.array(lo).T))
     matrix = aesa_build(database, EUCLID)
     gnat_total = aesa_total = 0
     results_agree = True

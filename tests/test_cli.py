@@ -133,10 +133,11 @@ def test_bad_flag_value_is_config_error():
 @pytest.mark.parametrize("flags, message", [
     (["--radius", "nan"], "radius must be >= 0"),
     (["--reduce", "nan", "--target-k", "3"], "reduce_factor must be >= 1"),
+    (["--reduce", "inf", "--target-k", "5"], "reduce_factor must be finite"),
     (["--queries", "-1", "--target-k", "3"], "cannot take -1 queries"),
     # a later negative seed fails before the first seed's lines are printed
     (["--seed", "0", "-1", "--target-k", "3"], "seed must be >= 0"),
-], ids=["radius-nan", "reduce-nan", "queries-negative", "seed-negative"])
+], ids=["radius-nan", "reduce-nan", "reduce-inf", "queries-negative", "seed-negative"])
 def test_nan_and_negative_values_are_config_errors(flags, message, capsys):
     code = cli.main(["query", "--n", "200", "--dim", "3", "--queries", "5", *flags])
     assert code == 1

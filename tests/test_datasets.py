@@ -116,6 +116,11 @@ def test_non_finite_vectors_refused(bad):
     # triangle bound prunes exactly: vector data must be finite
     with pytest.raises(ConfigError, match=r"vector 2 has a non-finite coordinate"):
         Dataset([(0.0, 1.0), (2.0, 3.0), (4.0, bad)])
+    # lists and array rows are vectors too
+    for rows in ([[0.0, 1.0], [2.0, 3.0], [4.0, bad]], list(np.array([[0.0, 1.0], [2.0, 3.0],
+                                                                       [4.0, bad]]))):
+        with pytest.raises(ConfigError, match=r"vector 2 has a non-finite coordinate"):
+            Dataset(rows)
     # finite extremes are fine, and strings are not vectors
     assert len(Dataset([(1e308, -1e308), (5e-324, 0.0)])) == 2
     assert len(Dataset(["inf", "nan"])) == 2

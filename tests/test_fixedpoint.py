@@ -35,6 +35,12 @@ def test_params_validation():
         FixedPointParams(total_bits=8, magnitude_bits=9)
     with pytest.raises(ConfigError):
         FixedPointParams(beta=0.0)
+    # a float width used to fail at 1 << ... once a tree was encoded
+    for name in ("total_bits", "magnitude_bits"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got 2.0"):
+            FixedPointParams(**{name: 2.0})
+    assert FixedPointParams(np.int64(8), np.uint8(2), 0.2) == Q28
+    assert type(FixedPointParams(np.int64(8)).total_bits) is int
     assert Q28.scale == 64 and Q28.max_code == 255
     assert Q28.value_bytes == 1.0
 
@@ -134,11 +140,12 @@ def test_every_code_boundary_rounds_outward(params):
             # no such code: max_code, which decodes to +inf as an upper bound
             assert hi_code == params.max_code
             table = encode_table(one_row_table([], [x]), params)
-            assert table.full()[1][0, 0] == params.max_code
+            assert table.hi.tolist() == [[params.max_code]]  # its one child is filled
             assert table.decoded_bounds()[1] == [[math.inf]]
     # below decode(max_code - 1) every hi code decodes to a finite bound
     fits = xs[xs < lut[-2]]
-    assert (encode_table(one_row_table(fits[1:], fits), params).full()[1] < params.max_code).all()
+    table = encode_table(one_row_table(fits[1:], fits), params)
+    assert table.hi.shape == (1, len(fits)) and (table.hi < params.max_code).all()
 
 
 @pytest.mark.parametrize("params", LAYOUTS)
@@ -160,10 +167,11 @@ def test_decoded_bounds_match_numpy_decode(params):
         table = encode_table(RangeTable(lo[~own].reshape(3, 6), hi[:, filled], rows, filled),
                              params)
         assert table.lo.dtype == params.code_dtype and table.hi.dtype == params.code_dtype
-        full_lo, full_hi = table.full()
-        # the derived codes are those of the full interval table
-        assert [c.tolist() for c in encode_interval(lo, hi, params)] == \
-            [full_lo.tolist(), full_hi.tolist()]
+        # the codes of the full interval table: the stored ones are its
+        # compact arrays, and the derived ones decode like it
+        full_lo, full_hi = encode_interval(lo, hi, params)
+        assert table.lo.tolist() == full_lo[~own].reshape(3, 6).tolist()
+        assert table.hi.tolist() == full_hi[:, filled].tolist()
         assert (full_hi == params.max_code).any() == (scale > top)
         expected_hi = np.where(full_hi == params.max_code, np.inf, lut[full_hi])
         got_lo, got_hi = table.decoded_bounds()
@@ -171,6 +179,8 @@ def test_decoded_bounds_match_numpy_decode(params):
         assert got_hi == expected_hi.tolist()
         assert all(type(x) is float for row in got_lo + got_hi for x in row)
         assert got_lo[0][1] is decoded_floats(params)[full_lo[0, 1]]
+        assert [x.hex() for row in got_lo for x in row] == \
+            [x.hex() for x in lut[full_lo].ravel().tolist()]
         assert [x.hex() for row in got_hi for x in row] == \
             [x.hex() for x in expected_hi.ravel().tolist()]
     assert decoded_floats(params) is decoded_floats(params)

@@ -213,8 +213,9 @@ def test_saturated_tables_stay_exact():
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     tree = build(big, EUCLID, BuildConfig(arity=PowerArity(0.5),
                                           fixed_point=FixedPointParams(8, 2, 0.2), seed=1))
-    assert any((node.table.full()[1] == node.table.fixed_point.max_code).any()
-               for node in iter_nodes(tree.root))
+    # an upper code decodes to +inf exactly when it is max_code
+    assert any(math.inf in row for node in iter_nodes(tree.root)
+               for row in node.table.decoded_bounds()[1])
     for i in range(0, 300, 23):
         for r in (100.0, 400.0, 1500.0):
             for search in (gnat_range_search, egnat_range_search):
@@ -383,12 +384,15 @@ def test_non_finite_queries_refused(small_world, bad):
     # the scan would compare inf or nan distances; every structure's query
     # entry point refuses such a query instead
     ds, tree = small_world
-    q = (0.5, bad, 0.5, 0.5, 0.5)
-    with pytest.raises(ConfigError, match="query has a non-finite coordinate"):
-        RangeQuery(q, 0.3)
-    for mode in DISCIPLINES:
+    coordinates = [0.5, bad, 0.5, 0.5, 0.5]
+    # a list or an array row is a vector as much as a tuple is; k-NN used
+    # to answer them with its heap sentinels (inf, inf)
+    for q in (tuple(coordinates), coordinates, np.array(coordinates)):
         with pytest.raises(ConfigError, match="query has a non-finite coordinate"):
-            knn_search(tree, q, 3, EUCLID, mode)
+            RangeQuery(q, 0.3)
+        for mode in DISCIPLINES:
+            with pytest.raises(ConfigError, match="query has a non-finite coordinate"):
+                knn_search(tree, q, 3, EUCLID, mode)
     # the words of an edit-distance workload are not vectors
     assert RangeQuery("inf", 1.0).obj == "inf"
 

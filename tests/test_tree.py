@@ -67,11 +67,26 @@ def test_build_config_validation():
     for bad in (dict(partition="x"), dict(bucket_size=-1)):
         with pytest.raises(ConfigError):
             BuildConfig(arity=ConstantArity(2), **bad)
+    # an infinite reduce factor keeps ceil(m / inf) = 0 rows per node,
+    # which no search can start from
+    with pytest.raises(ConfigError, match="reduce_factor must be finite, got inf"):
+        BuildConfig(arity=ConstantArity(2), reduce_factor=math.inf)
+    for name, value in (("bucket_size", 2.0), ("seed", 1.5)):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value}"):
+            BuildConfig(arity=ConstantArity(2), **{name: value})
+    config = BuildConfig(arity=ConstantArity(2), bucket_size=np.int64(3), seed=np.uint8(4))
+    assert (type(config.bucket_size), type(config.seed)) == (int, int)
+    assert config == BuildConfig(arity=ConstantArity(2), bucket_size=3, seed=4)
 
 
 def test_arity_policy_validation():
     with pytest.raises(ConfigError):
         ConstantArity(1)
+    # numpy's choice used to fail on it during build
+    with pytest.raises(ConfigError, match="constant arity must be an integer, got 4.5"):
+        ConstantArity(4.5)
+    assert ConstantArity(np.int32(4)) == ConstantArity(4)
+    assert type(ConstantArity(np.int32(4)).m) is int
     with pytest.raises(ConfigError):
         PowerArity(0.0)
     with pytest.raises(ConfigError):
@@ -282,8 +297,7 @@ def test_batched_phases_match_scalar_reference(seed, n, m, gamma, grid):
         lo, hi = _ref_range_table(measuring, centers, parts, dataset, scalar)
         assert batched.count == scalar.count == len(positions) * (m - 1 + len(objects))
         table = compute_range_table(dist, order, starts, positions)
-        full_lo, full_hi = table.full()
-        assert np.array_equal(full_lo, lo) and np.array_equal(full_hi, hi)
+        assert table.decoded_bounds() == (lo.tolist(), hi.tolist())
         # from known rows, the same cells, less exactly the pairs the rows hold
         known = [None] * m
         for pos, row in zip(positions, dist):
@@ -342,7 +356,7 @@ def test_encode_table_marks_saturation():
     table = RangeTable(np.empty((1, 0)), np.array([[5000.0]]), [0], np.array([True]))
     params = FixedPointParams(8, 2, 0.2)
     coded = encode_table(table, params)
-    assert coded.full()[1][0, 0] == params.max_code
+    assert coded.hi.tolist() == [[params.max_code]]
     assert coded.decoded_bounds()[1][0][0] == math.inf
 
 
@@ -398,7 +412,8 @@ def test_build_degenerate_all_centers():
     assert isinstance(root, GnatNode)
     assert root.centers == list(range(16))
     assert all(isinstance(c, Bucket) and not c.object_ids for c in root.children)
-    assert np.array_equal(*root.table.full())
+    lo, hi = root.table.decoded_bounds()
+    assert lo == hi
     assert table_entry_count(tree) == 256
 
 
@@ -407,9 +422,9 @@ def test_alpha_one_degenerates_to_flat_symmetric_table():
     tree = build(ds, EUCLID, BuildConfig(arity=PowerArity(1.0), seed=4))
     root = tree.root
     assert isinstance(root, GnatNode) and len(root.centers) == 60
-    lo, hi = root.table.full()
-    assert np.array_equal(lo, hi)
-    assert np.array_equal(lo, lo.T)
+    lo, hi = root.table.decoded_bounds()
+    assert lo == hi
+    assert np.array_equal(np.array(lo), np.array(lo).T)
 
 
 def test_bucket_size_stops_recursion():
@@ -427,8 +442,9 @@ def test_reduced_tables_shape():
     for node in iter_nodes(tree.root):
         m = len(node.centers)
         assert len(node.measuring_set) == math.ceil(m / 2.0)
-        assert node.table.full()[0].shape[0] == len(node.measuring_set)
-        assert node.table.full()[0].shape[1] == m
+        lo, hi = node.table.decoded_bounds()
+        assert len(lo) == len(hi) == len(node.measuring_set)
+        assert all(len(row) == m for row in lo + hi)
         assert node.measuring_set == sorted(node.measuring_set)
 
 
@@ -492,11 +508,11 @@ def test_table_soundness_exact_and_fixed_point():
     # decoded fixed-point bounds must bracket the exact ones
     for node, fp_node in zip(iter_nodes(tree.root), iter_nodes(fp_tree.root)):
         lo_f, hi_f = fp_node.table.decoded_bounds()
-        lo, hi = node.table.full()
-        for i in range(lo.shape[0]):
-            for j in range(lo.shape[1]):
-                assert lo_f[i][j] <= lo[i, j] + 1e-12
-                assert hi_f[i][j] >= hi[i, j] - 1e-12
+        lo, hi = node.table.decoded_bounds()
+        for i in range(len(lo)):
+            for j in range(len(lo[i])):
+                assert lo_f[i][j] <= lo[i][j] + 1e-12
+                assert hi_f[i][j] >= hi[i][j] - 1e-12
 
 
 @pytest.mark.parametrize("partition", ["hyperplane", "ball"])

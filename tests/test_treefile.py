@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import sys
 import zlib
@@ -12,6 +13,7 @@ from gnatty import (Bucket, BuildConfig, ConfigError, ConstantArity, Dataset, Eu
                     FixedPointParams, GnatNode, GnatTree, PowerArity, RangeQuery, RangeTable,
                     build, generate_uniform_vectors, gnat_range_search, iter_nodes, load_tree,
                     save_tree, table_bytes, table_entry_count, with_fixed_point)
+from gnatty.fixedpoint import decode_lut
 
 EUCLID = EuclideanMetric()
 
@@ -60,7 +62,9 @@ def test_roundtrip_preserves_saturation_flag(tmp_path):
     big = Dataset([tuple(c * 2000.0 for c in v) for v in base])
     params = FixedPointParams(8, 2, 0.2)
     tree = build(big, EUCLID, BuildConfig(arity=ConstantArity(5), fixed_point=params, seed=2))
-    assert any((node.table.full()[1] == params.max_code).any() for node in iter_nodes(tree.root))
+    # an upper code decodes to +inf exactly when it is max_code
+    assert any(math.inf in row for node in iter_nodes(tree.root)
+               for row in node.table.decoded_bounds()[1])
     path = tmp_path / "sat.gnt"
     save_tree(tree, path)
     loaded = load_tree(path, big)
@@ -124,6 +128,22 @@ def test_corrupt_config_json(tmp_path, config_blob):
     path.write_bytes(_reseal(blob[:8] + struct.pack("<I", len(config_blob)) + config_blob
                              + blob[12 + config_len:]))
     with pytest.raises(ConfigError, match="corrupt build config"):
+        load_tree(path, ds)
+
+
+@pytest.mark.parametrize("field", ["total_bits", "magnitude_bits"])
+def test_float_codec_width_refused(tmp_path, field):
+    # a float total_bits used to raise TypeError inside load_tree, and a
+    # float magnitude_bits loaded and raised on the first query
+    config = BuildConfig(arity=ConstantArity(4), fixed_point=FixedPointParams(8, 2, 0.2), seed=1)
+    ds, path, blob = _saved(tmp_path, config)
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    doc = json.loads(bytes(blob[12:12 + config_len]))
+    doc["fixed_point"][field] = float(doc["fixed_point"][field])
+    edited = json.dumps(doc, sort_keys=True).encode()
+    path.write_bytes(_reseal(blob[:8] + struct.pack("<I", len(edited)) + edited
+                             + blob[12 + config_len:]))
+    with pytest.raises(ConfigError, match=f"corrupt build config.*{field} must be an integer"):
         load_tree(path, ds)
 
 
@@ -326,8 +346,11 @@ def test_v3_file_layout(tmp_path):
     assert blob == header + root + buckets + struct.pack("<I", zlib.crc32(header + root + buckets))
     loaded = load_tree(path, OLD_DATASET)
     assert _same_node(loaded.root, tree.root)
-    assert [c.tolist() for c in loaded.root.table.full()] == [[[0, 64], [64, 0]],
-                                                              [[1, 80], [65, 74]]]
+    assert (loaded.root.table.lo.tolist(), loaded.root.table.hi.tolist()) == ([[64], [64]],
+                                                                              [[80], [74]])
+    lut = decode_lut(FixedPointParams(8, 2, 0.2)).tolist()
+    assert loaded.root.table.decoded_bounds() == ([[lut[0], lut[64]], [lut[64], lut[0]]],
+                                                  [[lut[1], lut[80]], [lut[65], lut[74]]])
 
 
 def _with_root_table(tree, table):
