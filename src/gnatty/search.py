@@ -7,9 +7,11 @@ Two search disciplines share the same trees and tables:
   ball, until every surviving center has been tried; a tried pivot's own
   child is entered only when its own column, [0, covering radius], meets
   the query ball;
-* the nearest-pivot discipline measures every center of a node, then
-  prunes children using only the table row of the center nearest to the
-  query.  Cheaper bookkeeping, usually more distance evaluations.
+* the nearest-pivot discipline measures every center of a node, prunes
+  children with the table row of the center nearest to the query, then
+  tests each child that row admits against its own column, [0, covering
+  radius], with the distance already measured to its center.  Cheaper
+  bookkeeping, usually more distance evaluations.
 
 k-NN is a range search with a shrinking radius: a size-k max-heap of the
 best candidates supplies the current radius, and children are entered in
@@ -149,8 +151,11 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
     pivots; survivors among them are measured directly at the end, and
     their children are entered.
 
-    Nearest-pivot visit: measure every center, then prune with the single
-    table row of the nearest measuring center (lowest position on ties).
+    Nearest-pivot visit: measure every center, then prune with the table
+    row of the nearest measuring center (lowest position on ties).  Each
+    non-empty child that row admits is then tested against its own
+    column, one entry, when its center has a row and is not the nearest
+    one (the row has just tested that entry).
 
     A child goes on the stack as soon as it is known to be entered; the
     visit order cannot change a range result or any counter.
@@ -191,9 +196,18 @@ def _range_search(tree: GnatTree, query: RangeQuery, metric: MetricSpace,
                 best = FLOAT_MAX
             e_hi = best * KA - r - T
             e_lo = (best + r) * KB + T
-            for child, lo, hi in zip(children, lo_rows[row], hi_rows[row]):
-                if child is not None and not (e_hi > hi or e_lo < lo):
-                    stack.append(child)
+            for j, (child, lo, hi) in enumerate(zip(children, lo_rows[row], hi_rows[row])):
+                if child is None or e_hi > hi or e_lo < lo:
+                    continue
+                own = hi_rows[j]
+                if own is not None and j != row:  # child j's own column
+                    inspected += 1
+                    e = measured[j]
+                    if e > FLOAT_MAX:
+                        e = FLOAT_MAX
+                    if e * KA - r - T > own[j]:
+                        continue
+                stack.append(child)
             continue
         lower = [0.0] * m
         pos = measuring[0]
@@ -270,7 +284,12 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
     heap, its upper bound only, and a hit raises the child's bound to the
     gap e * KA - hi when that is larger.  Surviving children are entered in
     ascending (lower bound, position) order and skipped when their bound
-    exceeds the radius by then.
+    exceeds the radius by then.  The nearest-pivot visit prunes with the
+    nearest measuring center's row, then tests each non-empty child it
+    admits against the child's own column as the range search does, with
+    the radius after every center was offered to the heap: a child is
+    dropped when e * KA - T - hi exceeds the radius, and otherwise that gap
+    raises its bound when it is larger.
 
     The best candidates sit in a size-k heap of (-distance, -id); it starts
     with k sentinels that every candidate beats, so the radius, the k-th
@@ -331,12 +350,23 @@ def knn_search(tree: GnatTree, obj, k: int, metric: MetricSpace,
             e_lo = (e + radius) * KB + T
             survivors = []
             for j, (lo, hi) in enumerate(zip(lo_rows[row], hi_rows[row])):
-                if e_hi > hi or e_lo < lo:
+                if children[j] is None or e_hi > hi or e_lo < lo:
                     continue
                 gap = ea - hi
                 other = lo * KA - et
                 if other > gap:
                     gap = other
+                own = hi_rows[j]
+                if own is not None and j != row:  # child j's own column
+                    inspected += 1
+                    e = measured[j]
+                    if e > FLOAT_MAX:
+                        e = FLOAT_MAX
+                    other = e * KA - T - own[j]
+                    if other > radius:
+                        continue
+                    if other > gap:
+                        gap = other
                 survivors.append((gap if gap > 0.0 else 0.0, j))
         else:
             lower = [0.0] * m
